@@ -31,7 +31,7 @@ bench-cache:
 	$(PYTHONPATH_PREFIX) python benchmarks/bench_cache_reuse.py --smoke --out /tmp/bench_cache_smoke.json
 
 bench-backends:
-	$(PYTHONPATH_PREFIX) python benchmarks/bench_backends.py --chunk-sweep
+	$(PYTHONPATH_PREFIX) python benchmarks/bench_backends.py
 
 vary-smoke:
 	$(PYTHONPATH_PREFIX) python -m repro.variation --families all --budget 150 \

@@ -11,10 +11,6 @@ Exercises the ``repro.backend`` seam (docs/backends.md) two ways:
   serialized candidate sets are **byte-identical** across backends
   before reporting any speedup (a faster wrong answer is not a speedup).
 
-With ``--chunk-sweep`` it additionally sweeps ``extraction_chunk_size``
-over powers of two on the numpy backend — the measurement behind
-``DEFAULT_EXTRACTION_CHUNK`` in ``repro.core.placement``.
-
 The result is written as JSON (default: ``BENCH_3.json`` at the repo
 root); the shared writer stamps provenance ``meta`` including the active
 backend and per-backend availability.
@@ -22,7 +18,6 @@ backend and per-backend availability.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py
-    PYTHONPATH=src python benchmarks/bench_backends.py --chunk-sweep
     PYTHONPATH=src python benchmarks/bench_backends.py --smoke --out /tmp/bench.json
 """
 
@@ -43,7 +38,6 @@ from repro.obs import write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEED = 20260806
-CHUNK_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def make_scenario(seed: int, device_multiple: int, charger_multiple: int):
@@ -63,7 +57,7 @@ def loadable_backends() -> list:
         try:
             backends.append(get_backend(name))
         except Exception:
-            continue  # registered but unloadable (e.g. the cupy stub)
+            continue  # registered but unloadable
     return backends
 
 
@@ -147,21 +141,6 @@ def bench_cold_solve(args, backends, repeats: int) -> dict:
     }
 
 
-def bench_chunk_sweep(args, repeats: int, grid=CHUNK_GRID) -> dict:
-    """Extraction wall-clock vs ``extraction_chunk_size`` (numpy backend)."""
-    timings: dict[str, float] = {}
-    for chunk in grid:
-        runs = []
-        for _ in range(repeats):
-            scenario = make_scenario(args.seed, args.devices, args.chargers)
-            t0 = time.perf_counter()
-            build_candidate_set(scenario, backend="numpy", extraction_chunk_size=chunk)
-            runs.append(time.perf_counter() - t0)
-        timings[str(chunk)] = round(min(runs), 4)
-    best = min(timings, key=lambda k: timings[k])
-    return {"seconds_by_chunk": timings, "best_chunk": int(best)}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -169,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chargers", type=int, default=3, help="charger multiple (of 1,2,3)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--scale", type=int, default=4, help="kernel input size multiplier")
-    parser.add_argument("--chunk-sweep", action="store_true", help="sweep extraction_chunk_size")
     parser.add_argument("--out", type=str, default=str(REPO_ROOT / "BENCH_3.json"))
     parser.add_argument(
         "--smoke",
@@ -180,10 +158,8 @@ def main(argv: list[str] | None = None) -> int:
 
     repeats = args.repeats
     scale = args.scale
-    chunk_grid = CHUNK_GRID
     if args.smoke:
         args.devices, args.chargers, repeats, scale = 1, 1, 1, 1
-        chunk_grid = (256, 1024)
 
     backends = loadable_backends()
     status = backend_status()
@@ -209,11 +185,6 @@ def main(argv: list[str] | None = None) -> int:
         "kernels": kernels,
         "cold_solve": cold,
     }
-    if args.chunk_sweep:
-        payload["chunk_sweep"] = bench_chunk_sweep(args, repeats, chunk_grid)
-        print(f"chunk sweep       : {payload['chunk_sweep']['seconds_by_chunk']}")
-        print(f"best chunk        : {payload['chunk_sweep']['best_chunk']}")
-
     # Stamp provenance with the fastest loadable backend active, so
     # meta.backend records what a default solve on this machine would use.
     with use_backend(None):

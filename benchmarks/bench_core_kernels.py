@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core import CandidateGenerator, extract_pdcs_at_point, solve_hipo
 from repro.experiments import random_scenario
-from repro.geometry import visible_mask
+from repro.geometry import visible_mask_many
 
 
 def _scenario(seed=1, device_multiple=4):
@@ -21,7 +21,7 @@ def bench_visible_mask(benchmark):
     ev = sc.evaluator()
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 40, size=(64, 2))
-    benchmark(lambda: [visible_mask(p, ev.positions, sc.obstacles) for p in points])
+    benchmark(lambda: visible_mask_many(points, ev.positions, sc.obstacles))
 
 
 def bench_coverable_kernel(benchmark):

@@ -1,12 +1,11 @@
-"""Extraction scaling benchmark: serial vs batched vs multi-worker.
+"""Extraction scaling benchmark: in-process vs multi-worker.
 
 Times :func:`repro.core.build_candidate_set` end to end on a fixed seeded
-§6 scenario in three configurations:
+§6 scenario in these configurations:
 
-* ``serial``   — legacy one-position-at-a-time kernels (``batched=False``),
-* ``batched``  — the broadcast coverability/LOS kernels, in-process,
-* ``workersN`` — batched kernels with the PDCS sweeps and per-device
-  position tasks fanned out over an N-worker process pool.
+* ``batched``  — the extraction tasks run in-process (``workers=1``),
+* ``workersN`` — the same per-device position tasks and PDCS sweep chunks
+  fanned out over an N-worker process pool.
 
 Each configuration runs on a freshly built scenario (so no line-of-sight
 cache carries over) and the best of ``--repeats`` wall-clocks is kept.  The
@@ -110,17 +109,15 @@ def main(argv: list[str] | None = None) -> int:
 
     modes: dict[str, dict] = {}
     snapshots: dict[str, object] = {}
-    modes["serial"], snapshots["serial"] = time_mode(args, args.repeats, batched=False)
-    print(f"serial   : {modes['serial']['seconds']:.3f}s")
-    modes["batched"], snapshots["batched"] = time_mode(args, args.repeats, batched=True)
+    modes["batched"], snapshots["batched"] = time_mode(args, args.repeats)
     print(f"batched  : {modes['batched']['seconds']:.3f}s")
     for w in worker_counts:
         modes[f"workers{w}"], snapshots[f"workers{w}"] = time_mode(args, args.repeats, workers=w)
         print(f"workers{w} : {modes[f'workers{w}']['seconds']:.3f}s")
 
-    serial_s = modes["serial"]["seconds"]
+    base_s = modes["batched"]["seconds"]
     speedups = {
-        name: round(serial_s / m["seconds"], 3) for name, m in modes.items() if name != "serial"
+        name: round(base_s / m["seconds"], 3) for name, m in modes.items() if name != "batched"
     }
     # All configurations must extract the same candidate set.
     counts = {m["candidates"] for m in modes.values()}
@@ -141,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "smoke": args.smoke,
         "modes": modes,
-        "speedup_vs_serial": speedups,
+        "speedup_vs_batched": speedups,
     }
     # The shared writer stamps the provenance meta block (git sha, versions,
     # cpu count) plus the batched-mode metric snapshot, and re-parses the
@@ -149,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     out = write_bench_json(
         Path(args.out), "extraction_scaling", payload, metrics=snapshots["batched"]
     )
-    print(f"speedups vs serial: {speedups}")
+    print(f"speedups vs batched: {speedups}")
     print(f"wrote {out}")
     return 0
 

@@ -63,6 +63,10 @@ if python -c "import numba" 2>/dev/null; then
     REPRO_BACKEND=numba python -m pytest tests/backend -x -q
 fi
 
+# Benchmark self-test: every per-layer timing target of benchmarks/perf
+# still resolves and the smoke workloads match their golden outputs.
+python -m pytest benchmarks/perf -q
+
 SMOKE_OUT="${TMPDIR:-/tmp}/bench_extraction_smoke.json"
 python benchmarks/bench_extraction_scaling.py --smoke --out "$SMOKE_OUT"
 python -c "
@@ -85,7 +89,7 @@ print('cache-reuse smoke bench ok (warm byte-identical)')
 " "$CACHE_OUT"
 
 BACKENDS_OUT="${TMPDIR:-/tmp}/bench_backends_smoke.json"
-python benchmarks/bench_backends.py --smoke --chunk-sweep --out "$BACKENDS_OUT"
+python benchmarks/bench_backends.py --smoke --out "$BACKENDS_OUT"
 python -c "
 import json, sys
 doc = json.load(open(sys.argv[1]))

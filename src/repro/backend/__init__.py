@@ -20,8 +20,6 @@ call site:
   back to numpy otherwise.  The accelerator is imported lazily inside
   :meth:`KernelBackend.load` (rule BKD701 enforces this), so merely
   importing :mod:`repro.backend` never pays a compiler import.
-* ``cupy`` (:mod:`.cupy_backend`) — a registration stub marking where a
-  GPU path plugs in; never auto-selected.
 * ``pyloop`` (:mod:`.pyloop_backend`) — the numba kernel bodies running
   as plain Python: always available, never auto-selected.  The
   independent second implementation behind the cross-backend
@@ -77,7 +75,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 class BackendUnavailable(RuntimeError):
-    """A requested backend cannot be used (not installed, stub, or broken)."""
+    """A requested backend cannot be used (not installed, or broken)."""
 
 
 class KernelBackend(ABC):
@@ -99,7 +97,7 @@ class KernelBackend(ABC):
     name: str = ""
     #: Auto-selection rank; highest available wins.
     priority: int = 0
-    #: Whether auto-selection may pick this backend (stubs say no).
+    #: Whether auto-selection may pick this backend (reference backends say no).
     selectable: bool = True
 
     def __init__(self) -> None:
@@ -326,12 +324,10 @@ def _module_importable(module: str) -> bool:
 
 # Register the built-in backends.  Only lightweight module imports happen
 # here — accelerators are imported inside each backend's load() (BKD701).
-from .cupy_backend import CuPyBackend  # noqa: E402 - registry population
-from .numba_backend import NumbaBackend  # noqa: E402
+from .numba_backend import NumbaBackend  # noqa: E402 - registry population
 from .numpy_backend import NumpyBackend  # noqa: E402
 from .pyloop_backend import PyLoopBackend  # noqa: E402
 
 register_backend(NumpyBackend())
 register_backend(NumbaBackend())
-register_backend(CuPyBackend())
 register_backend(PyLoopBackend())

@@ -11,7 +11,6 @@ from .distributed import (
     extraction_pool,
     measure_task_costs,
     parallel_positions_by_type,
-    positions_by_type_pooled,
     simulate_distributed_times,
 )
 from .pdcs import (
@@ -25,7 +24,6 @@ from .pdcs import (
 from .placement import (
     CandidateSet,
     HIPOSolution,
-    PhaseTimings,
     build_candidate_set,
     select_strategies,
     solve_hipo,
@@ -51,7 +49,6 @@ __all__ = [
     "CandidateSetCache",
     "HIPOSolution",
     "PairApproximation",
-    "PhaseTimings",
     "PointStrategy",
     "SolveCancelled",
     "SweptCandidate",
@@ -68,7 +65,6 @@ __all__ = [
     "filter_dominated_sets",
     "measure_task_costs",
     "parallel_positions_by_type",
-    "positions_by_type_pooled",
     "select_strategies",
     "serialize_candidate_set",
     "simulate_distributed_times",

@@ -218,19 +218,23 @@ class CandidateGenerator:
 
     def positions(self, ctype: ChargerType) -> np.ndarray:
         """All candidate positions for *ctype*, deduplicated and feasible."""
-        chunks = [self.positions_for_task(ctype, i) for i in range(self.scenario.num_devices)]
+        return self.gather(
+            [self.positions_for_task(ctype, i) for i in range(self.scenario.num_devices)]
+        )
+
+    def gather(self, chunks: list[np.ndarray]) -> np.ndarray:
+        """Merge per-task candidate chunks (in device order) into one
+        deduplicated position set, then apply the ``max_positions``
+        stratified subsample.
+
+        The pooled extraction path gathers worker results through this same
+        step, so it applies *exactly* the serial cap — per-worker
+        subsampling would not commute with the global one.
+        """
         chunks = [c for c in chunks if len(c)]
         if not chunks:
             return np.zeros((0, 2))
-        return self.apply_position_cap(dedupe_points(np.vstack(chunks)))
-
-    def apply_position_cap(self, pts: np.ndarray) -> np.ndarray:
-        """The ``max_positions`` stratified subsample (no-op without a cap).
-
-        Factored out so the pooled extraction path can gather per-task
-        chunks in the parent and then apply *exactly* the serial cap —
-        per-worker subsampling would not commute with the global one.
-        """
+        pts = dedupe_points(np.vstack(chunks))
         if self.max_positions is not None and len(pts) > self.max_positions:
             step = int(math.ceil(len(pts) / self.max_positions))
             return pts[::step]

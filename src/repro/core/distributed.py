@@ -7,7 +7,13 @@ duplicate work.  Tasks are assigned to ``m`` parallel machines with the LPT
 rule [40] (4/3-approximate makespan); with ``m ≥ No`` each task gets its own
 machine (Algorithm 5's first branch).
 
-Two backends are provided:
+Every extraction task is a plain function ``task(gen, arg)`` of a
+:class:`CandidateGenerator` and a small payload; :func:`run_tasks` runs a
+list of them in order, in-process with builtin ``map`` or on an
+:func:`extraction_pool` with ``pool.map``.  Only the runner changes between
+one machine and many.
+
+Two uses of the per-device task are provided:
 
 * :func:`simulate_distributed_times` — measures each task's serial cost once
   and reports the LPT makespan for each machine count.  This is the
@@ -23,11 +29,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..backend import activate_backend
-from ..geometry import dedupe_points
 from ..model.network import Scenario
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..opt.scheduling import Schedule, lpt_schedule
@@ -39,10 +46,12 @@ __all__ = [
     "check_cancel",
     "extraction_pool",
     "measure_task_costs",
+    "position_task",
+    "positions_from_tasks",
+    "run_tasks",
     "simulate_distributed_times",
     "assign_tasks",
     "parallel_positions_by_type",
-    "positions_by_type_pooled",
 ]
 
 
@@ -68,6 +77,20 @@ def check_cancel(cancel) -> None:
         raise SolveCancelled("solve cancelled by caller")
 
 
+def position_task(gen: CandidateGenerator, i: int) -> dict[str, np.ndarray]:
+    """Algorithm 5's unit of work: the candidates of device *i*'s task for
+    every charger type with a non-zero budget (types with no candidates
+    are omitted)."""
+    out: dict[str, np.ndarray] = {}
+    for ct in gen.scenario.charger_types:
+        if gen.scenario.budgets.get(ct.name, 0) == 0:
+            continue
+        pts = gen.positions_for_task(ct, i)
+        if len(pts):
+            out[ct.name] = pts
+    return out
+
+
 @dataclass
 class TaskMeasurement:
     """Serial cost measurement of the per-device extraction tasks."""
@@ -79,6 +102,18 @@ class TaskMeasurement:
     def serial_total(self) -> float:
         """Non-distributed extraction time (Σ task durations)."""
         return float(self.durations.sum())
+
+
+def _gather(
+    gen: CandidateGenerator, results: Iterable[dict[str, np.ndarray]]
+) -> dict[str, np.ndarray]:
+    """Per-type :meth:`CandidateGenerator.gather` of :func:`position_task`
+    results taken in device order."""
+    chunks: dict[str, list[np.ndarray]] = {ct.name: [] for ct in gen.scenario.charger_types}
+    for res in results:
+        for name, pts in res.items():
+            chunks[name].append(pts)
+    return {name: gen.gather(parts) for name, parts in chunks.items()}
 
 
 def measure_task_costs(
@@ -104,29 +139,20 @@ def measure_task_costs(
     gen = CandidateGenerator(scenario, eps=eps)
     n = scenario.num_devices
     durations = np.zeros(n)
-    chunks: dict[str, list[np.ndarray]] = {ct.name: [] for ct in scenario.charger_types}
+    results = []
     with trace.span("measure_tasks", devices=n) as msp:
         for i in range(n):
             check_cancel(cancel)
             with trace.span("task", device=i) as tsp:
                 t0 = time.perf_counter()
-                for ct in scenario.charger_types:
-                    if scenario.budgets.get(ct.name, 0) == 0:
-                        continue
-                    pts = gen.positions_for_task(ct, i)
-                    if len(pts):
-                        chunks[ct.name].append(pts)
+                results.append(position_task(gen, i))
                 durations[i] = time.perf_counter() - t0
                 tsp.set(seconds=round(float(durations[i]), 6))
             if metrics is not None:
                 metrics.inc("distributed.tasks")
                 metrics.observe("distributed.task_seconds", float(durations[i]))
         msp.set(serial_total=round(float(durations.sum()), 6))
-    positions = {
-        name: dedupe_points(np.vstack(parts)) if parts else np.zeros((0, 2))
-        for name, parts in chunks.items()
-    }
-    return TaskMeasurement(durations, positions)
+    return TaskMeasurement(durations, _gather(gen, results))
 
 
 def assign_tasks(durations: np.ndarray, machines: int) -> Schedule:
@@ -168,7 +194,7 @@ def simulate_distributed_times(
 
 #: Per-worker extraction state: one :class:`CandidateGenerator` built from the
 #: scenario shipped once via the pool initializer.  Tasks then carry only
-#: small payloads (a device index, or a charger name plus a position chunk)
+#: small payloads (a device index, or a charger index plus a position chunk)
 #: instead of re-pickling the whole scenario per task.
 _WORKER_GEN: CandidateGenerator | None = None
 
@@ -186,101 +212,59 @@ def _pool_init(
     _WORKER_GEN = CandidateGenerator(scenario, eps=eps, max_positions=max_positions)
 
 
-def extraction_pool(
-    scenario: Scenario,
-    eps: float,
-    workers: int,
-    *,
-    max_positions: int | None = None,
-    backend: str | None = None,
-) -> ProcessPoolExecutor:
-    """A process pool whose workers hold the scenario-bound extraction state.
+def _on_worker(task: Callable[[CandidateGenerator, Any], Any], arg: Any) -> Any:
+    return task(_WORKER_GEN, arg)
 
-    The scenario is pickled once per worker (pool initializer), not once per
-    task; the same pool serves both the per-device position tasks
-    (:func:`positions_by_type_pooled`) and the batched PDCS sweep tasks used
-    by :func:`~repro.core.placement.build_candidate_set`.  The generator's
-    approximation parameters (``eps``, ``max_positions``) are shipped so the
-    worker-side state matches the caller's generator; note the
-    ``max_positions`` cap itself is applied by the *parent* after gathering
-    (per-task subsampling would not equal the serial global subsample).
-    Custom :class:`CandidateGenerator` *subclasses* cannot be reproduced in
-    workers and must not be pooled — ``build_candidate_set`` guards this by
-    falling back to the in-process path.
+
+def extraction_pool(
+    gen: CandidateGenerator, workers: int, *, backend: str | None = None
+) -> ProcessPoolExecutor:
+    """A process pool whose workers each rebuild *gen* — its scenario, ``eps``
+    and ``max_positions``, shipped once per worker by the pool initializer —
+    for :func:`run_tasks`.  The ``max_positions`` cap itself is applied by
+    the parent when gathering.  Generator *subclasses* cannot be rebuilt in
+    workers and must not be pooled.
     """
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_pool_init,
-        initargs=(scenario, eps, max_positions, backend),
+        initargs=(gen.scenario, gen.eps, gen.max_positions, backend),
     )
 
 
-def _positions_task(i: int) -> dict[str, np.ndarray]:
-    gen = _WORKER_GEN
-    out: dict[str, np.ndarray] = {}
-    for ct in gen.scenario.charger_types:
-        if gen.scenario.budgets.get(ct.name, 0) == 0:
-            continue
-        pts = gen.positions_for_task(ct, i)
-        if len(pts):
-            out[ct.name] = pts
-    return out
+def run_tasks(
+    task: Callable[[CandidateGenerator, Any], Any],
+    args: Iterable[Any],
+    gen: CandidateGenerator,
+    pool: ProcessPoolExecutor | None = None,
+) -> Iterator[Any]:
+    """``task(gen, arg)`` for every *arg*, yielded in order as results arrive.
 
-
-def _sweep_task(args: tuple[str, np.ndarray, int | None]):
-    """One chunked PDCS sweep in a pool worker.
-
-    Returns ``(records, sweep_seconds, metrics_snapshot)``: the worker
-    accumulates kernel counters into a task-local registry and ships the
-    picklable snapshot back for the parent to merge, so serial and
-    multi-worker runs report identical counter totals.
+    Without *pool* the tasks run lazily in-process against *gen* (builtin
+    ``map``); with an :func:`extraction_pool` each runs in a worker against
+    that worker's own generator (``pool.map``; *task* must be a module-level
+    function).  Either way the caller consumes one result at a time.
     """
-    from .pdcs import sweep_position_batch
-
-    ct_name, positions, los_chunk_size = args
-    gen = _WORKER_GEN
-    ct = gen.scenario.charger_type(ct_name)
-    task_metrics = MetricsRegistry()
-    records, sweep_s = sweep_position_batch(
-        gen.evaluator,
-        gen.approx,
-        ct,
-        positions,
-        los_chunk_size=los_chunk_size,
-        metrics=task_metrics,
-    )
-    return records, sweep_s, task_metrics.snapshot()
+    if pool is None:
+        return map(partial(task, gen), args)
+    return pool.map(partial(_on_worker, task), args)
 
 
-def _gather_positions(results, scenario: Scenario) -> dict[str, np.ndarray]:
-    chunks: dict[str, list[np.ndarray]] = {ct.name: [] for ct in scenario.charger_types}
-    for res in results:
-        for name, pts in res.items():
-            chunks[name].append(pts)
-    return {
-        name: dedupe_points(np.vstack(parts)) if parts else np.zeros((0, 2))
-        for name, parts in chunks.items()
-    }
-
-
-def positions_by_type_pooled(
-    pool: ProcessPoolExecutor, scenario: Scenario, *, cancel=None
+def positions_from_tasks(
+    gen: CandidateGenerator, pool: ProcessPoolExecutor | None = None, *, cancel=None
 ) -> dict[str, np.ndarray]:
-    """All candidate positions per type, using an :func:`extraction_pool`.
+    """All candidate positions per type, from the per-device tasks.
 
-    Task order (device index ascending) matches the serial
-    :meth:`CandidateGenerator.positions` chunk order, so the deduplicated
-    result is *identical* to the serial one, not just set-equal.  The
-    *cancel* token is polled as task results stream back.
+    Results are gathered in device order, matching the serial
+    :meth:`CandidateGenerator.positions` chunk order, so the result is
+    *identical* to the serial one, not just set-equal.  The *cancel* token
+    is polled as task results arrive.
     """
-    n = scenario.num_devices
-    if n == 0:
-        return {ct.name: np.zeros((0, 2)) for ct in scenario.charger_types}
     results = []
-    for res in pool.map(_positions_task, range(n)):
+    for res in run_tasks(position_task, range(gen.scenario.num_devices), gen, pool):
         check_cancel(cancel)
         results.append(res)
-    return _gather_positions(results, scenario)
+    return _gather(gen, results)
 
 
 def parallel_positions_by_type(
@@ -293,23 +277,9 @@ def parallel_positions_by_type(
     tasks.  With ``workers <= 1`` the tasks run in-process against a single
     generator (no pickling at all).
     """
-    n = scenario.num_devices
-    if n == 0:
-        return {ct.name: np.zeros((0, 2)) for ct in scenario.charger_types}
-    workers = workers or min(n, os.cpu_count() or 1)
-    if workers <= 1:
-        gen = CandidateGenerator(scenario, eps=eps)
-        results = []
-        for i in range(n):
-            check_cancel(cancel)
-            out: dict[str, np.ndarray] = {}
-            for ct in scenario.charger_types:
-                if scenario.budgets.get(ct.name, 0) == 0:
-                    continue
-                pts = gen.positions_for_task(ct, i)
-                if len(pts):
-                    out[ct.name] = pts
-            results.append(out)
-        return _gather_positions(results, scenario)
-    with extraction_pool(scenario, eps, workers) as pool:
-        return positions_by_type_pooled(pool, scenario, cancel=cancel)
+    gen = CandidateGenerator(scenario, eps=eps)
+    workers = workers or min(scenario.num_devices, os.cpu_count() or 1)
+    if workers <= 1 or scenario.num_devices == 0:
+        return positions_from_tasks(gen, cancel=cancel)
+    with extraction_pool(gen, workers) as pool:
+        return positions_from_tasks(gen, pool, cancel=cancel)

@@ -101,7 +101,7 @@ def sweep_orientations(ctype: ChargerType, mask: np.ndarray, bearings: np.ndarra
 
 @dataclass(frozen=True)
 class SweptCandidate:
-    """One candidate strategy extracted by a batched sweep: position,
+    """One candidate strategy extracted by a sweep-chunk task: position,
     orientation, covered set and the power values on the covered devices.
 
     The power vectors are restricted to ``covered`` (in ascending index
@@ -122,10 +122,9 @@ def sweep_position_batch(
     ctype: ChargerType,
     positions: np.ndarray,
     *,
-    los_chunk_size: int | None = None,
     metrics=None,
 ) -> tuple[list[SweptCandidate], float]:
-    """Batched candidate extraction at many positions for one charger type.
+    """Candidate extraction at a batch of positions for one charger type.
 
     Runs the orientation-independent coverability tests for the whole batch
     in one broadcast (:meth:`PowerEvaluator.coverable_many`), quantizes the
@@ -135,15 +134,13 @@ def sweep_position_batch(
 
     Returns ``(records, sweep_seconds)`` where *records* lists every swept
     candidate in position order (duplicates not yet removed — the caller
-    dedupes, so serial and distributed extraction agree) and *sweep_seconds*
+    dedupes, so in-process and pooled extraction agree) and *sweep_seconds*
     is the time spent in the rotational sweeps alone.
 
     *metrics*, when given, is a :class:`~repro.obs.MetricsRegistry` fed the
     per-chunk kernel counters (``extraction.chunks``,
     ``extraction.positions_swept``, ``extraction.candidates_raw``) and the
-    ``extraction.sweep_chunk_seconds`` histogram.  Pool workers pass a
-    task-local registry and ship its snapshot back with the records, so the
-    counter totals match the serial path exactly.
+    ``extraction.sweep_chunk_seconds`` histogram.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     records: list[SweptCandidate] = []
@@ -152,9 +149,7 @@ def sweep_position_batch(
         metrics.inc("extraction.positions_swept", len(pts))
     if len(pts) == 0:
         return records, 0.0
-    mask_b, dists_b, bearings_b = evaluator.coverable_many(
-        ctype, pts, los_chunk_size=los_chunk_size
-    )
+    mask_b, dists_b, bearings_b = evaluator.coverable_many(ctype, pts)
     rows = np.nonzero(mask_b.any(axis=1))[0]
     if rows.size == 0:
         return records, 0.0

@@ -18,10 +18,10 @@ with the exact power law.
 
 from __future__ import annotations
 
-import os
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -38,99 +38,18 @@ from ..opt.submodular import (
     lazy_greedy_matroid,
 )
 from .candidates import CandidateGenerator
-from .distributed import (
-    _sweep_task,
-    check_cancel,
-    extraction_pool,
-    positions_by_type_pooled,
-)
-from .pdcs import SweptCandidate, sweep_orientations, sweep_position_batch
+from .distributed import check_cancel, extraction_pool, positions_from_tasks, run_tasks
+from .pdcs import SweptCandidate, sweep_position_batch
 from .reuse import CandidateSetCache, active_candidate_cache, extraction_cache_key
 
 __all__ = [
     "CandidateSet",
     "HIPOSolution",
-    "PhaseTimings",
     "build_candidate_set",
     "select_strategies",
     "solve_hipo",
     "solve_hipo_hardened",
 ]
-
-
-@dataclass
-class PhaseTimings:
-    """Wall-clock breakdown of a solve — a thin view derived from the trace.
-
-    Since the `repro.obs` tracer became the source of truth, this dataclass
-    is computed by :meth:`from_trace` from the ``extraction`` / ``selection``
-    span tree (it is kept as a stable, flat API for callers that predate the
-    tracer).  ``extraction_seconds`` covers candidate-position generation
-    plus the batched coverability/power kernels; ``sweep_seconds`` the
-    Algorithm-1 rotational sweeps; ``dedupe_seconds`` candidate
-    deduplication and row assembly; ``selection_seconds`` the greedy.  With
-    ``workers > 1`` the sweeps run inside pool workers, so
-    ``sweep_seconds`` is CPU-seconds summed across workers (it overlaps
-    ``extraction_seconds``, which stays wall-clock).
-    """
-
-    extraction_seconds: float = 0.0
-    sweep_seconds: float = 0.0
-    dedupe_seconds: float = 0.0
-    selection_seconds: float = 0.0
-    num_positions: int = 0
-    num_candidates: int = 0
-    workers: int = 1
-
-    @classmethod
-    def from_trace(cls, trace: Tracer) -> "PhaseTimings":
-        """Derive the flat breakdown from a trace's span tree.
-
-        Uses the most recent ``extraction`` span (wall clock plus its
-        accumulated ``sweep_seconds`` / ``dedupe_seconds`` attributes) and
-        the most recent ``selection`` span, matching the pre-tracer
-        semantics: in-process sweep time is carved out of extraction,
-        pooled sweep time overlaps it.
-        """
-        t = cls()
-        ext_spans = trace.find_all("extraction")
-        if ext_spans:
-            ext = ext_spans[-1]
-            t.workers = int(ext.attrs.get("workers", 1))
-            t.sweep_seconds = float(ext.attrs.get("sweep_seconds", 0.0))
-            t.dedupe_seconds = float(ext.attrs.get("dedupe_seconds", 0.0))
-            t.num_positions = int(ext.attrs.get("positions", 0))
-            t.num_candidates = int(ext.attrs.get("candidates", 0))
-            in_process_sweep = 0.0 if t.workers > 1 else t.sweep_seconds
-            t.extraction_seconds = max(0.0, ext.wall_s - t.dedupe_seconds - in_process_sweep)
-        sel_spans = trace.find_all("selection")
-        if sel_spans:
-            t.selection_seconds = sel_spans[-1].wall_s
-        return t
-
-    def as_dict(self) -> dict:
-        """Machine-readable form (``repro solve --timings --json``)."""
-        return {
-            "extraction_seconds": self.extraction_seconds,
-            "sweep_seconds": self.sweep_seconds,
-            "dedupe_seconds": self.dedupe_seconds,
-            "selection_seconds": self.selection_seconds,
-            "num_positions": self.num_positions,
-            "num_candidates": self.num_candidates,
-            "workers": self.workers,
-        }
-
-    def format(self) -> str:
-        """One-line summary (printed by ``repro solve --timings``)."""
-        return (
-            f"extraction={self.extraction_seconds:.3f}s "
-            f"sweep={self.sweep_seconds:.3f}s "
-            f"dedupe={self.dedupe_seconds:.3f}s "
-            f"selection={self.selection_seconds:.3f}s "
-            f"positions={self.num_positions} "
-            f"candidates={self.num_candidates} "
-            f"workers={self.workers}"
-        )
 
 
 @dataclass
@@ -144,7 +63,6 @@ class CandidateSet:
     part_of: list[int]  # candidate -> charger type index
     capacities: list[int]  # per charger type index
     positions_per_type: dict[str, int] = field(default_factory=dict)
-    timings: PhaseTimings | None = None
 
     @property
     def num_candidates(self) -> int:
@@ -165,7 +83,6 @@ class HIPOSolution:
     greedy: GreedyResult | None
     extraction_seconds: float = 0.0
     selection_seconds: float = 0.0
-    timings: PhaseTimings | None = None
     trace: Tracer | None = None
     metrics: MetricsSnapshot | None = None
 
@@ -178,43 +95,33 @@ class HIPOSolution:
         return render_run_report(self.trace, self.metrics)
 
 
-#: Positions per batched-sweep task; bounds both worker payload size and the
-#: peak (positions × devices) intermediates of the batched kernels.  The
-#: default comes from sweeping chunk sizes on the BENCH_1 scenario
-#: (``benchmarks/bench_backends.py --chunk-sweep``; the
-#: ``extraction.sweep_chunk_seconds`` histogram makes per-chunk cost
-#: observable): 128–512 are within run-to-run noise of each other, with 128
-#: showing the best mean across repeated sweeps (``chunk_sweep`` in
-#: ``BENCH_3.json``); 64 pays too much per-chunk batch setup, and ≥1024
-#: trends slower as the ``(positions × devices)`` intermediates outgrow
-#: cache.
+#: Positions per sweep-chunk task; bounds both worker payload size and the
+#: peak (positions × devices) intermediates of the batch kernels.  Chunking
+#: only bounds memory and task granularity — record order is preserved — so
+#: any positive value yields byte-identical candidates.  Measured with the
+#: ``benchmarks/perf`` harness (README.md, Findings): 128 and 512 run within
+#: noise of each other on the 40-device scene.
 DEFAULT_EXTRACTION_CHUNK = 128
 
-#: Environment override for the extraction sweep chunk size; an explicit
-#: ``extraction_chunk_size`` argument wins over the environment.
-EXTRACTION_CHUNK_ENV = "REPRO_EXTRACTION_CHUNK"
 
+def _sweep_chunk(gen: CandidateGenerator, task: tuple[int, np.ndarray]):
+    """One sweep-chunk task: Algorithm 1 at a chunk of positions of the
+    charger type with index ``task[0]``.
 
-def _resolve_extraction_chunk(value: int | None) -> int:
-    """The sweep chunk size to use: explicit arg > env var > default.
-
-    Chunking only bounds memory and task granularity — record order is
-    preserved — so any positive value yields byte-identical candidates.
+    Returns ``(records, sweep_seconds, metrics_snapshot)``: the kernel
+    counters go to a task-local registry whose snapshot the caller merges,
+    so in-process and pooled runs report identical counter totals.
     """
-    if value is None:
-        raw = os.environ.get(EXTRACTION_CHUNK_ENV, "").strip()
-        if not raw:
-            return DEFAULT_EXTRACTION_CHUNK
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{EXTRACTION_CHUNK_ENV} must be a positive integer, got {raw!r}"
-            ) from exc
-    chunk = int(value)
-    if chunk < 1:
-        raise ValueError(f"extraction chunk size must be positive, got {chunk}")
-    return chunk
+    q, positions = task
+    task_metrics = MetricsRegistry()
+    records, sweep_s = sweep_position_batch(
+        gen.evaluator,
+        gen.approx,
+        gen.scenario.charger_types[q],
+        positions,
+        metrics=task_metrics,
+    )
+    return records, sweep_s, task_metrics.snapshot()
 
 
 def build_candidate_set(
@@ -224,9 +131,6 @@ def build_candidate_set(
     generator: CandidateGenerator | None = None,
     positions_by_type: dict[str, np.ndarray] | None = None,
     workers: int | None = None,
-    batched: bool = True,
-    extraction_chunk_size: int | None = None,
-    los_chunk_size: int | None = None,
     backend: str | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -237,11 +141,7 @@ def build_candidate_set(
     *backend* names the compute backend for the hot kernels (``"numpy"``,
     ``"numba"``, ``None``/``"auto"`` — see :mod:`repro.backend`); pool
     workers inherit the resolved choice, and all backends produce
-    byte-identical candidate sets.  *extraction_chunk_size* tunes the
-    positions-per-sweep-task granularity (falling back to the
-    ``REPRO_EXTRACTION_CHUNK`` environment variable, then
-    :data:`DEFAULT_EXTRACTION_CHUNK`); the resolved value is recorded on
-    the ``sweeps`` span as ``chunk_size``.
+    byte-identical candidate sets.
 
     *cancel* is a cooperative cancellation token (``is_set() -> bool``,
     e.g. ``threading.Event``) polled between per-device position tasks and
@@ -252,31 +152,24 @@ def build_candidate_set(
     the grid baselines, the distributed extractor and the ablation benches) —
     the PDCS orientation sweep is still applied at each given position.
 
-    ``workers > 1`` fans the work out over a :func:`extraction_pool` whose
-    workers receive the scenario once (pool initializer): the per-device
-    position tasks of Algorithm 4 and the chunked PDCS sweeps both run in the
-    pool.  The pool ships the generator's approximation parameters (``eps``,
-    ``max_positions``), so a plain :class:`CandidateGenerator` with custom
-    parameters pools correctly; a *subclassed* generator cannot be rebuilt in
-    workers, so both pooled phases fall back to the in-process path for it
-    (correctness over parallelism).  ``batched=False`` keeps the legacy
-    one-position-at-a-time kernels (benchmark reference).  Serial, batched
-    and multi-worker paths produce identical candidate sets in identical
-    order.
+    The sweeps are one list of tasks — :data:`DEFAULT_EXTRACTION_CHUNK`
+    positions of one charger type each — whose results one loop consumes
+    in order, one at a time (:func:`~repro.core.distributed.run_tasks`).
+    ``workers > 1`` only swaps the runner for an :func:`extraction_pool`,
+    which also runs the Algorithm-4 per-device position tasks.  The pool
+    ships the generator's ``eps`` and ``max_positions``; a *subclassed*
+    generator cannot be rebuilt in workers, so it always runs in-process.
+    In-process and pooled runs produce identical candidate sets in
+    identical order.
 
     Observability: the phases run inside ``extraction`` → ``positions`` /
-    ``sweeps`` spans on *tracer* (a private tracer is created when none is
-    given, so :class:`PhaseTimings` is always derivable), and *metrics*
-    accumulates the extraction counters (see DESIGN.md §"Observability");
-    pool workers ship per-task snapshots back, so counter totals are
-    identical to a serial run.
+    ``sweeps`` spans on *tracer*, and *metrics* accumulates the extraction
+    counters (DESIGN.md §7); every sweep task returns a metric snapshot,
+    so counter totals do not depend on the worker count.
     """
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
     gen = generator if generator is not None else CandidateGenerator(scenario, eps=eps)
-    plain_generator = generator is None or type(generator) is CandidateGenerator
-    ev = scenario.evaluator()
-    approx = gen.approx
     strategies: list[Strategy] = []
     covered_idx: list[np.ndarray] = []
     approx_vals: list[np.ndarray] = []
@@ -286,12 +179,11 @@ def build_candidate_set(
     positions_per_type: dict[str, int] = {}
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
     nworkers = max(1, int(workers or 1))
-    use_pool = nworkers > 1
-    chunk = _resolve_extraction_chunk(extraction_chunk_size)
+    chunk = DEFAULT_EXTRACTION_CHUNK
     sweep_s = 0.0  # CPU-seconds inside Algorithm-1 sweeps (worker-side when pooled)
     dedupe_s = 0.0  # wall-clock inside absorb()
 
-    def absorb(q: int, ct, records: list[SweptCandidate]) -> None:
+    def absorb(q: int, records: list[SweptCandidate]) -> None:
         """Dedupe swept candidates and stash their compact rows (timed).
 
         The dedupe key is a single bytes object (type index, covered
@@ -305,6 +197,7 @@ def build_candidate_set(
         nonlocal dedupe_s
         t0 = time.perf_counter()
         kept = 0
+        ct = scenario.charger_types[q]
         qb = q.to_bytes(4, "little")
         for rec in records:
             covered = np.asarray(rec.covered, dtype=np.int64)
@@ -323,137 +216,63 @@ def build_candidate_set(
         mreg.inc("extraction.duplicates", len(records) - kept)
 
     active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
+    pooled = nworkers > 1 and type(gen) is CandidateGenerator and bool(active)
     with use_backend(backend) as bk, trace.span(
         "extraction", workers=nworkers, backend=bk.name
-    ) as ext_sp:
-        pool = None
-        try:
-            # Phase 1: candidate positions per charger type.
-            pos_map: dict[str, np.ndarray] = {}
-            with trace.span("positions") as pos_sp:
-                if positions_by_type is not None:
-                    for q, ct in active:
-                        pos_map[ct.name] = np.asarray(
-                            positions_by_type.get(ct.name, np.zeros((0, 2))), dtype=float
-                        )
-                elif use_pool and plain_generator and active:
-                    pool = extraction_pool(
-                        scenario,
-                        gen.eps,
-                        nworkers,
-                        max_positions=gen.max_positions,
-                        backend=bk.name,
-                    )
-                    pooled = positions_by_type_pooled(pool, scenario, cancel=cancel)
-                    for q, ct in active:
-                        pos_map[ct.name] = gen.apply_position_cap(
-                            pooled.get(ct.name, np.zeros((0, 2)))
-                        )
-                else:
-                    for q, ct in active:
-                        check_cancel(cancel)
-                        pos_map[ct.name] = gen.positions(ct)
+    ) as ext_sp, (
+        extraction_pool(gen, nworkers, backend=bk.name)
+        if pooled
+        else contextlib.nullcontext()
+    ) as pool:
+        # Phase 1: candidate positions per charger type.
+        with trace.span("positions") as pos_sp:
+            if positions_by_type is not None:
+                pos_map = {
+                    ct.name: np.asarray(positions_by_type.get(ct.name, np.zeros((0, 2))), float)
+                    for q, ct in active
+                }
+            elif pool is not None:
+                pos_map = positions_from_tasks(gen, pool, cancel=cancel)
+            else:
+                pos_map = {}
                 for q, ct in active:
-                    positions_per_type[ct.name] = len(pos_map[ct.name])
-                    mreg.inc("extraction.positions", len(pos_map[ct.name]))
-                pos_sp.set(positions=sum(positions_per_type.values()))
+                    check_cancel(cancel)
+                    pos_map[ct.name] = gen.positions(ct)
+            for q, ct in active:
+                positions_per_type[ct.name] = len(pos_map[ct.name])
+                mreg.inc("extraction.positions", len(pos_map[ct.name]))
+            pos_sp.set(positions=sum(positions_per_type.values()))
 
-            # Phase 2: PDCS sweeps (batched / pooled / legacy) + dedupe.
-            with trace.span(
-                "sweeps", batched=batched, pooled=use_pool, chunk_size=chunk
-            ) as sw_sp:
-                if not batched:
-                    for q, ct in active:
-                        positions = pos_map[ct.name]
-                        a_vec, b_vec = ev.coefficients(ct)
-                        mreg.inc("extraction.positions_swept", len(positions))
-                        for pos in positions:
-                            check_cancel(cancel)
-                            mask, dists, bearings = ev.coverable(ct, pos)
-                            t0 = time.perf_counter()
-                            point_strats = sweep_orientations(ct, mask, bearings)
-                            sweep_s += time.perf_counter() - t0
-                            if not point_strats:
-                                continue
-                            approx_full = approx.approx_powers(ct, dists)
-                            exact_full = bk.power_fill(a_vec, b_vec, dists)
-                            records = [
-                                SweptCandidate(
-                                    (float(pos[0]), float(pos[1])),
-                                    ps.orientation,
-                                    ps.covered,
-                                    approx_full[np.asarray(ps.covered, dtype=int)],
-                                    exact_full[np.asarray(ps.covered, dtype=int)],
-                                )
-                                for ps in point_strats
-                            ]
-                            mreg.inc("extraction.candidates_raw", len(records))
-                            absorb(q, ct, records)
-                else:
-                    tasks: list[tuple[str, np.ndarray, int | None]] = []
-                    task_meta: list[tuple[int, object]] = []
-                    for q, ct in active:
-                        positions = pos_map[ct.name]
-                        for lo in range(0, len(positions), chunk):
-                            tasks.append(
-                                (ct.name, positions[lo : lo + chunk], los_chunk_size)
-                            )
-                            task_meta.append((q, ct))
-                    if use_pool and plain_generator and tasks:
-                        if pool is None:
-                            pool = extraction_pool(
-                                scenario,
-                                gen.eps,
-                                nworkers,
-                                max_positions=gen.max_positions,
-                                backend=bk.name,
-                            )
-                        for (q, ct), (records, task_sweep_s, snap) in zip(
-                            task_meta, pool.map(_sweep_task, tasks)
-                        ):
-                            check_cancel(cancel)
-                            sweep_s += task_sweep_s
-                            mreg.merge(snap)
-                            absorb(q, ct, records)
-                    else:
-                        for (q, ct), task in zip(task_meta, tasks):
-                            check_cancel(cancel)
-                            records, task_sweep_s = sweep_position_batch(
-                                ev,
-                                approx,
-                                ct,
-                                task[1],
-                                los_chunk_size=los_chunk_size,
-                                metrics=mreg,
-                            )
-                            sweep_s += task_sweep_s
-                            absorb(q, ct, records)
-                sw_sp.set(
-                    sweep_seconds=round(sweep_s, 6),
-                    dedupe_seconds=round(dedupe_s, 6),
-                    candidates=len(strategies),
-                )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        ext_sp.set(
-            sweep_seconds=sweep_s,
-            dedupe_seconds=dedupe_s,
-            positions=sum(positions_per_type.values()),
-            candidates=len(strategies),
-        )
+        # Phase 2: PDCS sweeps, one chunk at a time, + dedupe.
+        with trace.span("sweeps", pooled=pool is not None, chunk_size=chunk) as sw_sp:
+            tasks = [
+                (q, pos_map[ct.name][lo : lo + chunk])
+                for q, ct in active
+                for lo in range(0, len(pos_map[ct.name]), chunk)
+            ]
+            check_cancel(cancel)
+            for (q, _), (records, task_sweep_s, snap) in zip(
+                tasks, run_tasks(_sweep_chunk, tasks, gen, pool)
+            ):
+                check_cancel(cancel)
+                sweep_s += task_sweep_s
+                mreg.merge(snap)
+                absorb(q, records)
+            sw_sp.set(
+                sweep_seconds=round(sweep_s, 6),
+                dedupe_seconds=round(dedupe_s, 6),
+                candidates=len(strategies),
+            )
+        ext_sp.set(positions=sum(positions_per_type.values()), candidates=len(strategies))
 
-    timings = PhaseTimings.from_trace(trace)
-
-    approx_power = np.zeros((len(strategies), ev.num_devices))
-    exact_power = np.zeros((len(strategies), ev.num_devices))
+    approx_power = np.zeros((len(strategies), scenario.num_devices))
+    exact_power = np.zeros((len(strategies), scenario.num_devices))
     for k, covered in enumerate(covered_idx):
         approx_power[k, covered] = approx_vals[k]
         exact_power[k, covered] = exact_vals[k]
     return CandidateSet(
-        strategies, approx_power, exact_power, part_of, capacities, positions_per_type, timings
+        strategies, approx_power, exact_power, part_of, capacities, positions_per_type
     )
-
 
 def select_strategies(
     scenario: Scenario,
@@ -519,8 +338,6 @@ def solve_hipo(
     positions_by_type: dict[str, np.ndarray] | None = None,
     keep_candidates: bool = False,
     workers: int | None = None,
-    batched: bool = True,
-    extraction_chunk_size: int | None = None,
     backend: str | None = None,
     candidate_cache: CandidateSetCache | None = None,
     tracer: Tracer | None = None,
@@ -534,8 +351,7 @@ def solve_hipo(
     :mod:`repro.backend`).  Backends are bit-identical by contract, so the
     choice affects wall-clock only — never the placement, the utilities or
     the candidate-cache keys.  The resolved name is stamped on the
-    ``solve`` and ``extraction`` trace spans.  *extraction_chunk_size*
-    tunes sweep-task granularity (see :func:`build_candidate_set`).
+    ``solve`` and ``extraction`` trace spans.
 
     Returns a :class:`HIPOSolution`; ``utility`` is the exact objective of
     Eq. (4) for the selected strategies.  ``workers > 1`` runs the candidate
@@ -588,7 +404,6 @@ def solve_hipo(
                     positions=sum(candidates.positions_per_type.values()),
                     candidates=candidates.num_candidates,
                 )
-            candidates.timings = PhaseTimings.from_trace(trace)
         else:
             candidates = build_candidate_set(
                 scenario,
@@ -596,8 +411,6 @@ def solve_hipo(
                 generator=generator,
                 positions_by_type=positions_by_type,
                 workers=workers,
-                batched=batched,
-                extraction_chunk_size=extraction_chunk_size,
                 tracer=trace,
                 metrics=mreg,
                 cancel=cancel,
@@ -628,9 +441,6 @@ def solve_hipo(
         utility = total_utility(exact_total, ev.thresholds)
         root_sp.set(utility=round(float(utility), 6), selected=len(strategies))
     mreg.record_peak_rss()
-    timings = candidates.timings
-    if timings is not None:
-        timings.selection_seconds = sel_sp.wall_s
     return HIPOSolution(
         strategies=strategies,
         utility=utility,
@@ -639,7 +449,6 @@ def solve_hipo(
         greedy=greedy,
         extraction_seconds=t1 - t0,
         selection_seconds=t2 - t1,
-        timings=timings,
         trace=trace,
         metrics=mreg.snapshot(),
     )
@@ -693,7 +502,6 @@ def solve_hipo_hardened(
         greedy=inner.greedy,
         extraction_seconds=inner.extraction_seconds,
         selection_seconds=inner.selection_seconds,
-        timings=inner.timings,
         trace=inner.trace,
         metrics=inner.metrics,
     )

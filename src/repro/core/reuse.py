@@ -11,9 +11,10 @@ workloads pay the expensive phase once:
   byte-stable, npz-style binary codec for candidate sets (canonical JSON
   header + raw C-order array payload; equal sets always serialize to equal
   bytes, unlike ``np.savez`` whose zip members embed timestamps).
-* :class:`CandidateSetCache` — a thread-safe, bytes-bounded LRU over the
-  serialized blobs, keyed by :func:`repro.io.canonical_extraction_hash`
-  (via :func:`extraction_cache_key`), with optional on-disk persistence.
+* :class:`CandidateSetCache` — a thread-safe, bytes-bounded LRU
+  (:class:`~repro.lru.BytesLRU`) over the serialized blobs, keyed by
+  :func:`repro.io.canonical_extraction_hash` (via
+  :func:`extraction_cache_key`), with optional on-disk persistence.
 * :func:`use_candidate_cache` — an ambient (context-local) default cache
   that :func:`~repro.core.placement.solve_hipo` consults when no explicit
   ``candidate_cache`` is passed, so sweep engines can warm-start every
@@ -31,17 +32,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
-import threading
-from collections import OrderedDict
 from contextvars import ContextVar
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from ..analysis.sanitizer import LockLike, new_lock
+from ..analysis.sanitizer import LockLike
 from ..io import canonical_extraction_hash, canonical_json
+from ..lru import BytesLRU
 from ..model.entities import Strategy
 from ..model.network import Scenario
 from ..model.types import ChargerType
@@ -231,30 +229,20 @@ def deserialize_candidate_set(
         positions_per_type={
             str(k): int(v) for k, v in header["positions_per_type"].items()
         },
-        timings=None,
     )
 
 
-class CandidateSetCache:
-    """Bounded LRU of serialized candidate sets, optionally disk-backed.
-
-    Values are the deterministic bytes of :func:`serialize_candidate_set`,
-    so the byte size bounding ``max_bytes`` is exact and a hit reconstructs
-    the identical candidate set the miss stored.  With *directory* given,
-    every store is also persisted as ``<key>.candidates`` (written to a
-    temp file, then atomically renamed) and memory misses fall back to
-    disk, so warm starts survive process restarts; LRU eviction only trims
-    memory, never the directory.
-
-    Counters land on *metrics* under ``cache.candidates.*`` (``hits`` /
-    ``misses`` / ``evictions`` / ``stores`` / ``oversize`` /
-    ``disk_loads``) plus peak gauges ``cache.candidates.entries`` /
-    ``bytes``.  The registry is not thread-safe: callers sharing *metrics*
-    with other components must pass the lock guarding it as *lock* (the
-    serve layer shares its service-wide registry lock), mirroring
-    :class:`repro.serve.cache.SolveCache`.  All map/registry mutations run
-    under that one lock; serialization and disk I/O happen outside it.
+class CandidateSetCache(BytesLRU):
+    """A :class:`~repro.lru.BytesLRU` of :func:`serialize_candidate_set`
+    blobs, so a hit reconstructs the identical candidate set the miss
+    stored.  With *directory* given, stores persist as ``<key>.candidates``
+    and survive process restarts; a truncated or corrupted file reads as a
+    miss (counted as ``cache.candidates.corrupt``), so the solve extracts
+    cold.  Counters land on *metrics* under ``cache.candidates.*``.
     """
+
+    prefix = "cache.candidates"
+    suffix = ".candidates"
 
     def __init__(
         self,
@@ -265,58 +253,9 @@ class CandidateSetCache:
         metrics: MetricsRegistry | None = None,
         lock: LockLike | None = None,
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Guards ``_entries``/``_bytes`` *and* the registry (one lock per
-        #: registry; see the class docstring).
-        self._lock = lock if lock is not None else new_lock("CandidateSetCache._lock")
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-        self._bytes = 0
-
-    # -- core ------------------------------------------------------------
-    def get_bytes(self, key: str) -> bytes | None:
-        """The serialized candidate set for *key*, or ``None`` on miss.
-
-        A memory hit moves the entry to most-recently-used; with a
-        persistence directory, memory misses are re-loaded from disk (and
-        re-inserted) before counting as a miss.
-        """
-        with self._lock:
-            blob = self._entries.get(key)
-            if blob is not None:
-                self._entries.move_to_end(key)
-                self.metrics.inc("cache.candidates.hits")
-                return blob
-        disk = self._read_disk(key)
-        if disk is None:
-            with self._lock:
-                self.metrics.inc("cache.candidates.misses")
-            return None
-        with self._lock:
-            self._insert_locked(key, disk)
-            self.metrics.inc("cache.candidates.hits")
-            self.metrics.inc("cache.candidates.disk_loads")
-        return disk
-
-    def put_bytes(self, key: str, blob: bytes) -> bool:
-        """Store serialized bytes under *key*; returns whether it cached."""
-        if len(blob) > self.max_bytes:
-            with self._lock:
-                self.metrics.inc("cache.candidates.oversize")
-            return False
-        self._write_disk(key, blob)
-        with self._lock:
-            self._insert_locked(key, blob)
-            self.metrics.inc("cache.candidates.stores")
-        return True
+        super().__init__(
+            max_entries, max_bytes, metrics=metrics, lock=lock, directory=directory
+        )
 
     def get(self, key: str, scenario: Scenario | None = None) -> "CandidateSet | None":
         """Deserialized candidate set for *key* (re-bound to *scenario*)."""
@@ -329,96 +268,10 @@ class CandidateSetCache:
         """Serialize and store one candidate set."""
         return self.put_bytes(key, serialize_candidate_set(candidates))
 
-    def _insert_locked(self, key: str, blob: bytes) -> None:
-        """Insert + LRU-evict; caller holds ``self._lock``."""
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= len(old)
-        while self._entries and (
-            len(self._entries) >= self.max_entries
-            or self._bytes + len(blob) > self.max_bytes
-        ):
-            _, victim = self._entries.popitem(last=False)
-            self._bytes -= len(victim)
-            self.metrics.inc("cache.candidates.evictions")
-        self._entries[key] = blob
-        self._bytes += len(blob)
-        self.metrics.gauge("cache.candidates.entries", float(len(self._entries)))
-        self.metrics.gauge("cache.candidates.bytes", float(self._bytes))
-
-    # -- disk persistence ------------------------------------------------
-    def _path_for(self, key: str) -> Path | None:
-        if self.directory is None:
-            return None
-        safe = "".join(c for c in key if c.isalnum() or c in "-_")
-        return self.directory / f"{safe}.candidates"
-
-    def _read_disk(self, key: str) -> bytes | None:
-        path = self._path_for(key)
-        if path is None:
-            return None
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        if not blob.startswith(CANDIDATE_BLOB_MAGIC):
-            return None
-        return blob
-
-    def _write_disk(self, key: str, blob: bytes) -> None:
-        path = self._path_for(key)
-        if path is None:
-            return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp, path)
-            except OSError:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        except OSError:
-            # Persistence is best-effort; the in-memory tier still works.
-            pass
-
-    # -- introspection ---------------------------------------------------
     def __contains__(self, key: str) -> bool:
-        """Whether *key* would hit (memory, or the persistence directory)."""
-        with self._lock:
-            if key in self._entries:
-                return True
-        return self._read_disk(key) is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def size_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    def stats(self) -> dict[str, Any]:
-        """Live view (counters cumulative; entries/bytes current)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "persistent": self.directory is not None,
-                "hits": self.metrics.counter("cache.candidates.hits"),
-                "misses": self.metrics.counter("cache.candidates.misses"),
-                "evictions": self.metrics.counter("cache.candidates.evictions"),
-            }
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the persistence directory is kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        """Whether *key* would hit (memory, or a valid file in the
+        persistence directory) — the serve layer's candidate-tier probe."""
+        return super().__contains__(key)
 
 
 #: Ambient default cache consulted by ``solve_hipo`` when no explicit

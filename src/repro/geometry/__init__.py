@@ -50,7 +50,6 @@ from .visibility import (
     line_of_sight,
     obstacle_boundary_segments,
     shadow_rays,
-    visible_mask,
     visible_mask_many,
 )
 
@@ -98,6 +97,5 @@ __all__ = [
     "square_grid",
     "triangular_grid",
     "unit_vector",
-    "visible_mask",
     "visible_mask_many",
 ]

@@ -11,7 +11,6 @@ boundary set used by the PDCS extraction.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .primitives import EPS, distance
 
 __all__ = [
     "line_of_sight",
-    "visible_mask",
     "visible_mask_many",
     "shadow_rays",
     "obstacle_boundary_segments",
@@ -42,63 +40,6 @@ def line_of_sight(p: Sequence[float], q: Sequence[float], obstacles: Iterable[Po
     return True
 
 
-def visible_mask(p: Sequence[float], targets: np.ndarray, obstacles: Sequence[Polygon]) -> np.ndarray:
-    """Boolean mask: which rows of *targets* have line of sight from *p*.
-
-    This is the hottest geometric kernel of the candidate extraction (one
-    call per candidate position), so the proper-crossing test against all
-    obstacle edges is a single ``(targets × edges)`` numpy broadcast per
-    obstacle, with a bounding-box prefilter.  Semantics match
-    :meth:`Polygon.blocks_segment`: a segment is blocked if it properly
-    crosses an edge or its midpoint lies strictly inside (degenerate
-    boundary-grazing midpoints use parity only — a measure-zero difference).
-    """
-    pts = np.asarray(targets, dtype=float)
-    n = len(pts)
-    mask = np.ones(n, dtype=bool)
-    if n == 0:
-        return mask
-    px, py = float(p[0]), float(p[1])
-    p_arr = np.array([px, py])
-    backend = active_backend()
-    seg_xmin = np.minimum(pts[:, 0], px)
-    seg_xmax = np.maximum(pts[:, 0], px)
-    seg_ymin = np.minimum(pts[:, 1], py)
-    seg_ymax = np.maximum(pts[:, 1], py)
-    for h in obstacles:
-        xmin, ymin, xmax, ymax = h.bbox
-        near = (
-            (seg_xmax >= xmin - EPS)
-            & (seg_xmin <= xmax + EPS)
-            & (seg_ymax >= ymin - EPS)
-            & (seg_ymin <= ymax + EPS)
-            & mask
-        )
-        idx = np.nonzero(near)[0]
-        if idx.size == 0:
-            continue
-        sub = pts[idx]  # (m, 2)
-        c, d, s = h.edge_arrays()  # (E, 2) edge starts / ends / directions
-        origins = np.repeat(p_arr[None, :], idx.size, axis=0)
-        blocked = backend.blocked_segments(origins, sub, c, d, s)
-        mask[idx[blocked]] = False
-    return mask
-
-
-def _blocked_by_polygon(starts: np.ndarray, ends: np.ndarray, h: Polygon) -> np.ndarray:
-    """Which of the sight segments ``starts[k] → ends[k]`` the polygon blocks.
-
-    Generalizes the single-origin broadcast of :func:`visible_mask` to
-    per-segment origins: proper-crossing test against every edge, with the
-    parity (midpoint-inside) fallback for grazing segments.  Semantics match
-    :meth:`Polygon.blocks_segment`.  The array work is delegated to the
-    active compute backend (:func:`repro.backend.active_backend`); every
-    backend returns bit-identical masks.
-    """
-    c, d, s = h.edge_arrays()  # (E, 2) edge starts / ends / directions
-    return active_backend().blocked_segments(starts, ends, c, d, s)
-
-
 def visible_mask_many(
     positions: np.ndarray,
     targets: np.ndarray,
@@ -106,14 +47,20 @@ def visible_mask_many(
     *,
     chunk_size: int = DEFAULT_LOS_CHUNK,
 ) -> np.ndarray:
-    """Batched :func:`visible_mask`: ``out[i, j]`` is True iff target *j* has
-    line of sight from position *i*.
+    """Line-of-sight masks: ``out[i, j]`` is True iff target *j* has line
+    of sight from position *i*.
 
-    One broadcast covers the full ``(positions × targets × edges)`` crossing
-    test per obstacle; *chunk_size* caps how many (position, target) sight
-    segments are materialized at once so memory stays bounded on large
-    candidate sets.  Row ``out[i]`` equals ``visible_mask(positions[i], ...)``
-    exactly (same bbox prefilter, proper-crossing test and parity fallback).
+    This is the hottest geometric kernel of the candidate extraction, so
+    one broadcast covers the full ``(positions × targets × edges)``
+    crossing test per obstacle, with a bounding-box prefilter; *chunk_size*
+    caps how many (position, target) sight segments are materialized at
+    once so memory stays bounded on large candidate sets.  Semantics match
+    :func:`line_of_sight` / :meth:`Polygon.blocks_segment`: a segment is
+    blocked if it properly crosses an edge or its midpoint lies strictly
+    inside (degenerate boundary-grazing midpoints use parity only — a
+    measure-zero difference).  The per-obstacle crossing test runs on the
+    active compute backend (:func:`repro.backend.active_backend`); every
+    backend returns bit-identical masks.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     pts = np.asarray(targets, dtype=float).reshape(-1, 2)
@@ -123,6 +70,7 @@ def visible_mask_many(
         return out
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    backend = active_backend()
     rows_per_chunk = max(1, chunk_size // n_tgt)
     for lo in range(0, np_pos, rows_per_chunk):
         hi = min(np_pos, lo + rows_per_chunk)
@@ -146,15 +94,10 @@ def visible_mask_many(
             idx = np.nonzero(near)[0]
             if idx.size == 0:
                 continue
-            blocked = _blocked_by_polygon(starts[idx], ends[idx], h)
+            c, d, s = h.edge_arrays()  # (E, 2) edge starts / ends / directions
+            blocked = backend.blocked_segments(starts[idx], ends[idx], c, d, s)
             mask[idx[blocked]] = False
     return out
-
-
-def _parity_inside(c: np.ndarray, d: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd point-in-polygon over edges ``(c[k], d[k])`` (no boundary
-    refinement), delegated to the active compute backend."""
-    return active_backend().parity_inside(c, d, pts)
 
 
 def shadow_rays(

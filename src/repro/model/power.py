@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..backend import active_backend
-from ..geometry import EPS, TWO_PI, Polygon, visible_mask, visible_mask_many
+from ..geometry import EPS, TWO_PI, Polygon, visible_mask_many
 from .entities import Device, Strategy
 from .types import ChargerType, CoefficientTable
 
@@ -129,25 +129,16 @@ class PowerEvaluator:
             self._types[ctype.name] = ctype
         return self._per_type[ctype.name]
 
-    def los_mask(self, position: Sequence[float]) -> np.ndarray:
-        """Line-of-sight mask from *position* to every device (cached)."""
-        key = (round(float(position[0]), 9), round(float(position[1]), 9))
-        mask = self._los_cache.get(key)
-        if mask is None:
-            mask = visible_mask(position, self.positions, self.obstacles)
-            self._los_cache[key] = mask
-        return mask
-
     def clear_cache(self) -> None:
         """Drop the line-of-sight cache (e.g. between sweep repetitions)."""
         self._los_cache.clear()
 
-    def los_mask_many(self, positions: np.ndarray, *, chunk_size: int | None = None) -> np.ndarray:
-        """Batched :meth:`los_mask`: ``(positions × devices)`` in one broadcast.
+    def los_mask_many(self, positions: np.ndarray) -> np.ndarray:
+        """Line-of-sight masks ``(positions × devices)`` in one broadcast.
 
-        Positions already in the cache are reused; fresh rows are computed
-        with :func:`~repro.geometry.visible_mask_many` and cached for the
-        per-position calls that follow (e.g. exact re-evaluation).
+        Rows are cached per position: positions already seen are reused,
+        fresh rows are computed with :func:`~repro.geometry.visible_mask_many`
+        and cached for the calls that follow (e.g. exact re-evaluation).
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
         out = np.ones((len(pos), self.num_devices), dtype=bool)
@@ -156,8 +147,7 @@ class PowerEvaluator:
         keys = [(round(float(p[0]), 9), round(float(p[1]), 9)) for p in pos]
         missing = [i for i, k in enumerate(keys) if k not in self._los_cache]
         if missing:
-            kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-            fresh = visible_mask_many(pos[missing], self.positions, self.obstacles, **kwargs)
+            fresh = visible_mask_many(pos[missing], self.positions, self.obstacles)
             for row, i in enumerate(missing):
                 self._los_cache[keys[i]] = fresh[row]
         for i, k in enumerate(keys):
@@ -165,7 +155,8 @@ class PowerEvaluator:
         return out
 
     def coverable(self, ctype: ChargerType, position: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Orientation-independent coverability from *position* for *ctype*.
+        """Orientation-independent coverability from one *position*: row 0
+        of :meth:`coverable_many`.
 
         Returns ``(mask, dists, bearings)`` where ``mask[j]`` is True iff
         device *j* satisfies every condition of Eq. (1) except the charger
@@ -174,35 +165,19 @@ class PowerEvaluator:
         rotational sweep then only has to intersect ``bearings`` with the
         charger cone.
         """
-        pos = np.asarray(position, dtype=float)
-        delta = self.positions - pos
-        dists = np.hypot(delta[:, 0], delta[:, 1])
-        bearings = np.mod(np.arctan2(delta[:, 1], delta[:, 0]), TWO_PI)
-        mask = (dists >= ctype.dmin - EPS) & (dists <= ctype.dmax + EPS) & (dists >= EPS)
-        if mask.any():
-            # charger inside the device receiving cone: bearing device→charger
-            rev = np.mod(bearings + math.pi, TWO_PI)
-            diff = np.abs(np.mod(rev - self.orientations + math.pi, TWO_PI) - math.pi)
-            mask &= diff <= self.half_angles + EPS
-        if mask.any() and self.obstacles:
-            mask &= self.los_mask(pos)
-        return mask, dists, bearings
+        mask, dists, bearings = self.coverable_many(ctype, position)
+        return mask[0], dists[0], bearings[0]
 
     def coverable_many(
-        self,
-        ctype: ChargerType,
-        positions: np.ndarray,
-        *,
-        los_chunk_size: int | None = None,
+        self, ctype: ChargerType, positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`coverable` over many candidate positions.
+        """:meth:`coverable` over many candidate positions.
 
         Returns ``(mask, dists, bearings)`` with shape
-        ``(positions × devices)`` each; row *i* equals the serial
-        ``coverable(ctype, positions[i])`` result.  The distance, ring and
+        ``(positions × devices)`` each.  The distance, ring and
         receiving-cone tests are one broadcast over the whole batch; the
-        line-of-sight masks come from :meth:`los_mask_many` (chunked so
-        memory stays bounded, see *los_chunk_size*).
+        line-of-sight masks come from :meth:`los_mask_many`, for the rows
+        with any device left.
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
         delta = self.positions[None, :, :] - pos[:, None, :]  # (P, No, 2)
@@ -216,7 +191,7 @@ class PowerEvaluator:
             mask &= diff <= self.half_angles[None, :] + EPS
         if mask.any() and self.obstacles:
             rows = np.nonzero(mask.any(axis=1))[0]
-            mask[rows] &= self.los_mask_many(pos[rows], chunk_size=los_chunk_size)
+            mask[rows] &= self.los_mask_many(pos[rows])
         return mask, dists, bearings
 
     def power_vector(self, strategy: Strategy, *, distances: np.ndarray | None = None) -> np.ndarray:

@@ -5,38 +5,28 @@ over the canonical JSON of the scenario plus solver params — so two requests
 that differ only in key order or float spelling (``5`` vs ``5.0``) share one
 entry, while any semantic change (a device moved, ``eps`` tweaked) misses.
 
-Values are stored as the *serialized* result payload (UTF-8 JSON bytes).
-That makes the byte size exact for the ``max_bytes`` bound and guarantees a
-cache hit returns a byte-identical result to the solve that populated it.
-
-Eviction is LRU over both limits: inserting beyond ``max_entries`` or
-``max_bytes`` evicts least-recently-used entries until the new entry fits.
-A single value larger than ``max_bytes`` is refused (counted as
-``cache.oversize``), never cached.
-
-Counters (``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
-``cache.stores`` / ``cache.oversize``) and peak gauges (``cache.entries`` /
-``cache.bytes``) are recorded on the :class:`~repro.obs.MetricsRegistry`
-passed in — the service exposes them at ``GET /v1/metrics``.
-
-Thread-safe; all operations take one internal lock.
+Values are the *serialized* result payload (UTF-8 JSON bytes) in a
+:class:`~repro.lru.BytesLRU`, so a hit returns a byte-identical result to
+the solve that populated it.  Its ``cache.*`` counters and gauges land on
+the registry passed in — the service exposes them at ``GET /v1/metrics``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from typing import Any
 
-from ..analysis.sanitizer import LockLike, new_lock
+from ..analysis.sanitizer import LockLike
+from ..lru import BytesLRU
 from ..obs import MetricsRegistry
 
 __all__ = ["SolveCache"]
 
 
-class SolveCache:
+class SolveCache(BytesLRU):
     """Bounded LRU mapping ``cache_key -> serialized result payload``."""
+
+    prefix = "cache"
 
     def __init__(
         self,
@@ -46,35 +36,16 @@ class SolveCache:
         metrics: MetricsRegistry | None = None,
         lock: LockLike | None = None,
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Guards the entries *and* the registry.  Callers sharing
-        #: *metrics* with other components must share this lock too —
-        #: a non-thread-safe registry needs exactly one lock.
-        self._lock = lock if lock is not None else new_lock("SolveCache._lock")
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-        self._bytes = 0
+        super().__init__(max_entries, max_bytes, metrics=metrics, lock=lock)
 
-    # -- core ------------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached result payload for *key*, or ``None`` on miss.
 
         A hit moves the entry to most-recently-used and returns a fresh
         ``json.loads`` of the stored bytes (callers can mutate it freely).
         """
-        with self._lock:
-            blob = self._entries.get(key)
-            if blob is None:
-                self.metrics.inc("cache.misses")
-                return None
-            self._entries.move_to_end(key)
-            self.metrics.inc("cache.hits")
-            return json.loads(blob.decode("utf-8"))
+        blob = self.get_bytes(key)
+        return None if blob is None else json.loads(blob.decode("utf-8"))
 
     def put(self, key: str, payload: dict[str, Any]) -> bool:
         """Store *payload* under *key*; returns whether it was cached.
@@ -83,56 +54,4 @@ class SolveCache:
         repeated stores of an equal payload produce identical bytes.
         """
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        with self._lock:
-            if len(blob) > self.max_bytes:
-                self.metrics.inc("cache.oversize")
-                return False
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= len(old)
-            while self._entries and (
-                len(self._entries) >= self.max_entries
-                or self._bytes + len(blob) > self.max_bytes
-            ):
-                _, victim = self._entries.popitem(last=False)
-                self._bytes -= len(victim)
-                self.metrics.inc("cache.evictions")
-            self._entries[key] = blob
-            self._bytes += len(blob)
-            self.metrics.inc("cache.stores")
-            self.metrics.gauge("cache.entries", float(len(self._entries)))
-            self.metrics.gauge("cache.bytes", float(self._bytes))
-            return True
-
-    # -- introspection ---------------------------------------------------
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def size_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    def stats(self) -> dict[str, Any]:
-        """Live view for ``/v1/metrics`` (counters are cumulative; entries
-        and bytes are current, unlike the peak-keeping gauges)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "hits": self.metrics.counter("cache.hits"),
-                "misses": self.metrics.counter("cache.misses"),
-                "evictions": self.metrics.counter("cache.evictions"),
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        return self.put_bytes(key, blob)

@@ -20,9 +20,9 @@ The five shipped invariants:
   :func:`~repro.opt.submodular.exhaustive_best`);
 * ``warm_cold``        — solving through a cold-then-warm candidate cache
   (PR 5) is byte-identical to solving with no cache at all;
-* ``cross_impl``       — the ``numpy`` and ``pyloop`` backends, and the
-  batched vs legacy per-position sweep paths, produce byte-identical
-  placements and utilities.
+* ``cross_impl``       — the ``numpy`` and ``pyloop`` backends (two
+  independent kernel implementations) produce byte-identical placements
+  and utilities.
 
 The solver is injectable through :class:`InvariantContext` so the test
 suite can plant a deliberately buggy shim and confirm the harness catches,
@@ -223,19 +223,18 @@ def warm_cold(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolati
 
 
 def cross_impl(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolation | None:
-    """numpy vs pyloop backends and batched vs legacy sweeps must agree."""
+    """The numpy and pyloop backends must agree."""
     s = varied.scenario
     solutions = {
         "numpy": ctx.solve(s, backend="numpy"),
         "pyloop": ctx.solve(s, backend="pyloop"),
-        "numpy-unbatched": ctx.solve(s, backend="numpy", batched=False),
     }
     keys = {name: _placement_key(sol) for name, sol in solutions.items()}
     utils = {name: float(sol.approx_utility) for name, sol in solutions.items()}
     if len(set(keys.values())) != 1 or len(set(utils.values())) != 1:
         return InvariantViolation(
             "cross_impl",
-            "backends/sweep paths disagreed on the placement",
+            "backends disagreed on the placement",
             {"placements_equal": len(set(keys.values())) == 1, "approx_utilities": utils},
         )
     return None

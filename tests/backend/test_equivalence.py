@@ -30,7 +30,7 @@ from backend_testlib import (  # noqa: F401  (fixtures register on import)
 )
 
 from repro.backend import use_backend
-from repro.geometry import Polygon, rectangle, visible_mask, visible_mask_many
+from repro.geometry import Polygon, rectangle, visible_mask_many
 from repro.geometry.primitives import TWO_PI
 
 ALTS = alternative_backends()
@@ -114,14 +114,9 @@ def test_visible_mask_many_bitwise_equal(numpy_backend, alt, positions, targets,
     tgt = np.array(targets, dtype=float)
     with use_backend(numpy_backend):
         expected = visible_mask_many(pos, tgt, polys, chunk_size=chunk)
-        expected_single = visible_mask(pos[0], tgt, polys)
     with use_backend(alt):
         got = visible_mask_many(pos, tgt, polys, chunk_size=chunk)
-        got_single = visible_mask(pos[0], tgt, polys)
     assert_bits_equal(expected, got, "visible_mask_many")
-    assert_bits_equal(expected_single, got_single, "visible_mask")
-    # The batched row equals the single-origin mask on every backend.
-    assert_bits_equal(got[0], got_single, "row-vs-single")
 
 
 # Bearings on an exact lattice of angles so cone boundaries are grazed.

@@ -21,7 +21,7 @@ from repro.backend import (
 
 def test_builtin_backends_registered():
     names = set(registered_backends())
-    assert {"numpy", "numba", "cupy"} <= names
+    assert {"numpy", "numba", "pyloop"} <= names
     status = backend_status()
     assert status["numpy"] is True
     assert "numpy" in available_backends()
@@ -39,7 +39,8 @@ def test_unknown_backend_is_a_clear_error():
 
 
 def test_cupy_stub_never_loads():
-    with pytest.raises(BackendUnavailable):
+    """No GPU backend ships: asking for one is an unknown-backend error."""
+    with pytest.raises(BackendUnavailable, match="unknown backend"):
         get_backend("cupy")
 
 

@@ -1,15 +1,14 @@
-"""Equivalence and determinism of the batched / multi-worker extraction.
+"""Equivalence and determinism of the in-process / multi-worker extraction.
 
-The tentpole guarantee: the legacy one-position-at-a-time path, the batched
-kernels and the process-pool fan-out all produce *identical* candidate sets
-(same strategies in the same order), hence identical greedy selections and
-utilities.
+The guarantee: the in-process task loop and the process-pool fan-out
+produce *identical* candidate sets (same strategies in the same order) for
+any sweep chunk size, hence identical greedy selections and utilities.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import CandidateGenerator, build_candidate_set, solve_hipo
+from repro.core import CandidateGenerator, build_candidate_set, placement, solve_hipo
 from repro.geometry import rectangle
 
 from conftest import simple_scenario
@@ -40,14 +39,6 @@ def assert_candidate_sets_identical(a, b):
 
 
 @pytest.mark.parametrize("make", [scenario_no_obstacles, scenario_with_obstacles])
-def test_batched_matches_legacy(make):
-    sc = make()
-    legacy = build_candidate_set(sc, batched=False)
-    batched = build_candidate_set(sc, batched=True)
-    assert_candidate_sets_identical(legacy, batched)
-
-
-@pytest.mark.parametrize("make", [scenario_no_obstacles, scenario_with_obstacles])
 def test_parallel_matches_serial_candidates(make):
     sc = make()
     serial = build_candidate_set(sc, workers=1)
@@ -72,48 +63,37 @@ def test_solve_equivalence_and_determinism(make):
     assert again.candidate_set.num_candidates == s4.candidate_set.num_candidates
 
 
-def test_chunk_size_invariance():
+def test_chunk_size_invariance(monkeypatch):
     sc = scenario_with_obstacles()
     base = build_candidate_set(sc)
     for chunk in (1, 7, 64):
-        other = build_candidate_set(sc, extraction_chunk_size=chunk)
-        assert_candidate_sets_identical(base, other)
+        monkeypatch.setattr(placement, "DEFAULT_EXTRACTION_CHUNK", chunk)
+        assert_candidate_sets_identical(base, build_candidate_set(sc))
+        assert_candidate_sets_identical(base, build_candidate_set(sc, workers=2))
 
 
-def test_chunk_size_env_override(monkeypatch):
-    sc = scenario_with_obstacles()
-    base = build_candidate_set(sc)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "9")
-    other = build_candidate_set(sc)
-    assert_candidate_sets_identical(base, other)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "not-a-number")
-    with pytest.raises(ValueError):
-        build_candidate_set(sc)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "0")
-    with pytest.raises(ValueError):
-        build_candidate_set(sc)
-
-
-def test_chunk_size_recorded_in_sweeps_span():
+def test_chunk_size_recorded_in_sweeps_span(monkeypatch):
     from repro.obs import Tracer
 
-    sc = scenario_no_obstacles()
+    monkeypatch.setattr(placement, "DEFAULT_EXTRACTION_CHUNK", 33)
     trace = Tracer()
-    build_candidate_set(sc, extraction_chunk_size=33, tracer=trace)
+    build_candidate_set(scenario_no_obstacles(), tracer=trace)
     sweeps = trace.find_all("sweeps")
     assert sweeps and sweeps[-1].attrs["chunk_size"] == 33
 
 
 def test_timings_populated():
+    """The phase spans carry the wall times and counts ``repro solve
+    --timings`` reports."""
     sc = scenario_no_obstacles()
     sol = solve_hipo(sc, keep_candidates=True)
-    t = sol.timings
-    assert t is not None
-    assert t.workers == 1
-    assert t.num_candidates == sol.candidate_set.num_candidates
-    assert t.num_positions == sum(sol.candidate_set.positions_per_type.values())
-    assert t.extraction_seconds >= 0.0 and t.selection_seconds >= 0.0
-    assert "workers=1" in t.format()
+    ext = sol.trace.find("extraction")
+    assert ext.attrs["workers"] == 1
+    assert ext.attrs["candidates"] == sol.candidate_set.num_candidates
+    assert ext.attrs["positions"] == sum(sol.candidate_set.positions_per_type.values())
+    for phase in ("positions", "sweeps", "selection"):
+        assert sol.trace.find(phase).wall_s >= 0.0
+    assert sol.extraction_seconds >= 0.0 and sol.selection_seconds >= 0.0
 
 
 @pytest.mark.parametrize("max_positions", [None, 25])

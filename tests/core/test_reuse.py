@@ -3,7 +3,6 @@ and the headline guarantee — warm-started solves are byte-identical to
 cold ones."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -97,41 +96,7 @@ def test_deserialize_rejects_garbage_and_unknown_types():
         deserialize_candidate_set(blob, renamed)
 
 
-# -- cache bounds + persistence ------------------------------------------
-
-
-def test_lru_eviction_and_counters():
-    metrics = MetricsRegistry()
-    cache = CandidateSetCache(max_entries=2, metrics=metrics)
-    blob = CANDIDATE_BLOB_MAGIC + b"x" * 10
-    for key in ("a", "b", "c"):
-        assert cache.put_bytes(key, blob)
-    assert len(cache) == 2
-    assert cache.get_bytes("a") is None  # least-recently-used got evicted
-    assert cache.get_bytes("c") == blob
-    stats = cache.stats()
-    assert stats["evictions"] == 1 and stats["misses"] == 1 and stats["hits"] == 1
-    cache.clear()
-    assert len(cache) == 0 and cache.size_bytes == 0
-
-
-def test_bytes_bound_and_oversize():
-    cache = CandidateSetCache(max_entries=10, max_bytes=100)
-    small = CANDIDATE_BLOB_MAGIC + b"s" * 10  # 30 bytes
-    assert cache.put_bytes("a", small)
-    assert cache.put_bytes("b", small)
-    assert cache.put_bytes("c", small)
-    # 3 x 30 = 90 <= 100; a fourth forces an eviction to stay under budget.
-    assert cache.put_bytes("d", small)
-    assert cache.size_bytes <= 100
-    assert cache.get_bytes("a") is None
-    # A blob larger than the whole budget is refused outright.
-    assert not cache.put_bytes("huge", b"h" * 200)
-    assert "huge" not in cache
-    with pytest.raises(ValueError):
-        CandidateSetCache(max_entries=0)
-    with pytest.raises(ValueError):
-        CandidateSetCache(max_bytes=0)
+# -- persistence ------------------------------------------------------------
 
 
 def test_disk_persistence_across_instances(tmp_path):
@@ -153,13 +118,30 @@ def test_disk_persistence_across_instances(tmp_path):
     assert reborn.stats()["persistent"] is True
 
 
-def test_shared_external_lock():
-    lock = threading.Lock()
-    cache = CandidateSetCache(metrics=MetricsRegistry(), lock=lock)
-    blob = CANDIDATE_BLOB_MAGIC + b"z"
-    cache.put_bytes("k", blob)
-    assert cache.get_bytes("k") == blob
-    assert not lock.locked()  # released on every path
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_corrupt_disk_file_falls_back_to_cold_extraction(tmp_path, damage):
+    """A truncated or bit-flipped ``.candidates`` file fails its digest
+    check: it is deleted, counted, and the solve extracts cold."""
+    sc = scenario()
+    cold = solve_hipo(sc)
+    solve_hipo(sc, candidate_cache=CandidateSetCache(directory=tmp_path))
+    (path,) = tmp_path.glob("*.candidates")
+    data = bytearray(path.read_bytes())
+    if damage == "truncate":
+        del data[len(data) // 2 :]
+    else:
+        data[-1] ^= 0x01  # one payload byte
+    path.write_bytes(bytes(data))
+
+    metrics = MetricsRegistry()
+    cache = CandidateSetCache(directory=tmp_path, metrics=metrics)
+    warm = solve_hipo(sc, candidate_cache=cache)
+    assert fingerprint(warm) == fingerprint(cold)
+    assert metrics.counter("cache.candidates.corrupt") == 1
+    assert metrics.counter("cache.candidates.misses") == 1
+    # The cold extraction re-persisted a valid, byte-identical blob.
+    reborn = CandidateSetCache(directory=tmp_path).get_bytes(extraction_cache_key(sc))
+    assert reborn == serialize_candidate_set(build_candidate_set(sc))
 
 
 # -- key semantics --------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.geometry import (
     obstacle_boundary_segments,
     rectangle,
     shadow_rays,
-    visible_mask,
     visible_mask_many,
 )
 
@@ -33,30 +32,32 @@ def test_line_of_sight_no_obstacles():
 def test_visible_mask_mixed():
     obs = [rectangle(2, 2, 4, 4)]
     targets = np.array([[6.0, 3.0], [6.0, 7.0], [1.0, 1.0]])
-    mask = visible_mask((0.0, 3.0), targets, obs)
-    assert mask.tolist() == [False, True, True]
+    mask = visible_mask_many([(0.0, 3.0)], targets, obs)
+    assert mask.tolist() == [[False, True, True]]
 
 
 def test_visible_mask_empty_targets():
-    assert visible_mask((0, 0), np.zeros((0, 2)), [rectangle(1, 1, 2, 2)]).shape == (0,)
+    assert visible_mask_many([(0, 0)], np.zeros((0, 2)), [rectangle(1, 1, 2, 2)]).shape == (1, 0)
 
 
 @settings(max_examples=60)
-@given(coords, coords, st.lists(st.tuples(coords, coords), min_size=1, max_size=12))
-def test_visible_mask_matches_scalar_path(px, py, targets):
+@given(
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=3),
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
+)
+def test_visible_mask_matches_scalar_path(positions, targets):
     obs = [rectangle(2.0, 2.0, 4.5, 4.5), Polygon([(6.0, 1.0), (8.5, 2.0), (7.0, 4.0)])]
     pts = np.array(targets, dtype=float)
     # Skip degenerate configurations where an endpoint grazes a boundary;
     # the vectorized path resolves these by parity only.
     for h in obs:
-        if h.distance_to_point((px, py)) < 1e-6:
-            return
-        for t in targets:
-            if h.distance_to_point(t) < 1e-6:
+        for q in positions + targets:
+            if h.distance_to_point(q) < 1e-6:
                 return
-    vec = visible_mask((px, py), pts, obs)
-    for k, t in enumerate(pts):
-        assert vec[k] == line_of_sight((px, py), t, obs)
+    out = visible_mask_many(positions, pts, obs)
+    for i, p in enumerate(positions):
+        for k, t in enumerate(pts):
+            assert out[i, k] == line_of_sight(p, t, obs)
 
 
 def test_shadow_rays_extend_to_rmax():
@@ -103,7 +104,7 @@ def test_visible_mask_many_matches_serial_rows():
     out = visible_mask_many(positions, targets, obs)
     assert out.shape == (23, 11)
     for i, p in enumerate(positions):
-        assert np.array_equal(out[i], visible_mask(p, targets, obs))
+        assert np.array_equal(out[i], visible_mask_many(p[None], targets, obs)[0])
 
 
 def test_visible_mask_many_chunking_invariant():

@@ -142,12 +142,12 @@ def test_los_cache_consistency():
     obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
     devices = [dev((3.0, 0.0)), dev((0.0, 3.0))]
     ev = PowerEvaluator(devices, obs, TABLE, [CT])
-    m1 = ev.los_mask((0.0, 0.0))
-    m2 = ev.los_mask((0.0, 0.0))  # cached path
+    m1 = ev.los_mask_many([(0.0, 0.0)])
+    m2 = ev.los_mask_many([(0.0, 0.0)])  # cached path
     assert np.array_equal(m1, m2)
-    assert m1.tolist() == [False, True]
+    assert m1.tolist() == [[False, True]]
     ev.clear_cache()
-    assert np.array_equal(ev.los_mask((0.0, 0.0)), m1)
+    assert np.array_equal(ev.los_mask_many([(0.0, 0.0)]), m1)
 
 
 def test_coefficients_for_unregistered_type():
@@ -181,7 +181,8 @@ def test_los_mask_many_populates_cache():
     ev = PowerEvaluator([dev((3.0, 0.0)), dev((0.0, 3.0))], obs, TABLE, [CT])
     positions = np.array([[0.0, 0.0], [0.0, -1.0]])
     batch = ev.los_mask_many(positions)
-    # Cached per-position rows agree with the batched result.
+    assert len(ev._los_cache) == 2
+    # Cached per-position rows agree with the batch result.
     for i, p in enumerate(positions):
-        assert np.array_equal(batch[i], ev.los_mask(p))
+        assert np.array_equal(batch[i], ev.los_mask_many(p[None])[0])
     assert batch[0].tolist() == [False, True]

@@ -247,7 +247,7 @@ def test_service_reports_backend_in_metrics_and_trace(scenario_data):
         assert status == 200
         assert metrics["backend"]["active"] == "numpy"
         assert metrics["backend"]["available"]["numpy"] is True
-        assert set(metrics["backend"]["available"]) >= {"numpy", "numba", "cupy"}
+        assert set(metrics["backend"]["available"]) >= {"numpy", "numba", "pyloop"}
 
         status, resp = client.post_solve({"scenario": scenario_data})
         assert status == 202
@@ -259,14 +259,16 @@ def test_service_reports_backend_in_metrics_and_trace(scenario_data):
         stop(server, service)
 
 
-def test_service_default_backend_resolves_eagerly(scenario_data):
+def test_service_default_backend_resolves_eagerly(scenario_data, monkeypatch):
     """No explicit backend: the service pins auto's concrete choice at
-    construction; an impossible backend fails at startup, not first job."""
+    construction; an unloadable backend fails at startup, not first job."""
     service = SolveService(pool_size=1, queue_size=4)
     assert service.backend_name in {"numpy", "numba"}
     service.shutdown()
 
     from repro.backend import BackendUnavailable
+    from repro.backend.numba_backend import NumbaBackend
 
-    with pytest.raises(BackendUnavailable):
-        SolveService(pool_size=1, queue_size=4, backend="cupy")
+    monkeypatch.setattr(NumbaBackend, "available", lambda self: False)
+    with pytest.raises(BackendUnavailable, match="not available"):
+        SolveService(pool_size=1, queue_size=4, backend="numba")

@@ -1,4 +1,5 @@
-"""Tests for the content-addressed LRU solve cache and its hash keys."""
+"""Tests for the solve cache's JSON codec and its hash keys (the LRU
+itself is covered for both caches by ``tests/test_lru.py``)."""
 
 import json
 
@@ -51,7 +52,7 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": float("inf")})
 
 
-# -- cache behaviour ------------------------------------------------------
+# -- JSON codec -----------------------------------------------------------
 def test_put_get_round_trip_and_counters():
     m = MetricsRegistry()
     cache = SolveCache(4, 1 << 20, metrics=m)
@@ -64,59 +65,3 @@ def test_put_get_round_trip_and_counters():
     assert m.counter("cache.hits") == 1
     # Stored bytes are deterministic -> identical re-serialization.
     assert json.dumps(got, sort_keys=True) == json.dumps(payload, sort_keys=True)
-
-
-def test_lru_eviction_by_entries():
-    m = MetricsRegistry()
-    cache = SolveCache(2, 1 << 20, metrics=m)
-    cache.put("a", {"v": 1})
-    cache.put("b", {"v": 2})
-    cache.get("a")  # refresh a -> b becomes LRU
-    cache.put("c", {"v": 3})
-    assert "a" in cache and "c" in cache and "b" not in cache
-    assert m.counter("cache.evictions") == 1
-
-
-def test_eviction_by_bytes():
-    blob = {"v": "x" * 100}
-    size = len(json.dumps(blob, sort_keys=True, separators=(",", ":")).encode())
-    cache = SolveCache(100, int(size * 2.5))
-    cache.put("a", blob)
-    cache.put("b", blob)
-    cache.put("c", blob)  # only 2 fit
-    assert len(cache) == 2
-    assert cache.size_bytes <= int(size * 2.5)
-    assert "a" not in cache
-
-
-def test_oversize_value_refused():
-    m = MetricsRegistry()
-    cache = SolveCache(4, 64, metrics=m)
-    assert not cache.put("big", {"v": "x" * 1000})
-    assert "big" not in cache and len(cache) == 0
-    assert m.counter("cache.oversize") == 1
-
-
-def test_overwrite_updates_bytes():
-    cache = SolveCache(4, 1 << 20)
-    cache.put("k", {"v": "x" * 100})
-    before = cache.size_bytes
-    cache.put("k", {"v": "y"})
-    assert len(cache) == 1 and cache.size_bytes < before
-
-
-def test_stats_shape():
-    cache = SolveCache(4, 1 << 20)
-    cache.put("k", {"v": 1})
-    cache.get("k")
-    cache.get("missing")
-    stats = cache.stats()
-    assert stats["entries"] == 1 and stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["bytes"] == cache.size_bytes
-
-
-def test_invalid_limits_rejected():
-    with pytest.raises(ValueError):
-        SolveCache(0)
-    with pytest.raises(ValueError):
-        SolveCache(4, 0)
