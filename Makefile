@@ -1,16 +1,12 @@
 PYTHONPATH_PREFIX = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-graph typecheck bench-smoke bench-scaling bench-cache bench-backends serve serve-smoke vary-smoke ci
+.PHONY: test lint typecheck bench-smoke bench-scaling bench-cache bench-backends serve serve-smoke vary-smoke ci
 
 test:
 	$(PYTHONPATH_PREFIX) python -m pytest -x -q
 
 lint:
 	$(PYTHONPATH_PREFIX) python -m repro.analysis src/repro
-
-lint-graph:
-	$(PYTHONPATH_PREFIX) python -m repro.analysis src/repro --lock-graph lockgraph.json
-	@echo "wrote lockgraph.json (repro.lockgraph/v1)"
 
 typecheck:
 	sh scripts/typecheck.sh

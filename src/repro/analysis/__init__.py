@@ -16,7 +16,6 @@ from .engine import (
     Rule,
     Violation,
     default_source_root,
-    lint_summary,
     main,
     run_analysis,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Violation",
     "default_rules",
     "default_source_root",
-    "lint_summary",
     "main",
     "run_analysis",
 ]

@@ -41,7 +41,7 @@ import sys
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 __all__ = [
     "AnalysisError",
@@ -379,23 +379,6 @@ def default_source_root() -> Path:
     return Path(__file__).resolve().parents[1]
 
 
-def lint_summary(paths: Sequence[str | Path] | None = None) -> dict[str, Any]:
-    """Compact lint stats stamped into benchmark provenance blocks."""
-    result = run_analysis(paths if paths is not None else [default_source_root()])
-    families: dict[str, int] = {}
-    for rule_id in result.rules_run:
-        m = re.match(r"[A-Z]+", rule_id)
-        family = m.group(0) if m is not None else rule_id
-        families[family] = families.get(family, 0) + 1
-    return {
-        "rules": result.rules_registered,
-        "families": dict(sorted(families.items())),
-        "violations": len(result.violations),
-        "errors": result.errors,
-        "warnings": result.warnings,
-    }
-
-
 def build_arg_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
@@ -417,9 +400,6 @@ def build_arg_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
                         help="treat warnings as errors (exit 1 on any violation)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
-    parser.add_argument("--lock-graph", type=str, default=None, metavar="OUT.json",
-                        help="also write the repro.lockgraph/v1 lock-ordering "
-                        "artifact (deterministic JSON) to this path")
     return parser
 
 
@@ -442,10 +422,6 @@ def main(argv: Sequence[str] | None = None, *, prog: str = "repro.analysis") -> 
     paths = args.paths if args.paths else [default_source_root()]
     try:
         result = run_analysis(paths, select=_split(args.select), ignore=_split(args.ignore))
-        if args.lock_graph:
-            from .lockgraph import build_lock_graph, write_lock_graph
-
-            write_lock_graph(build_lock_graph(paths), args.lock_graph)
     except AnalysisError as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Rule registry for ``repro.analysis``.
 
-``default_rules()`` is the canonical rule set; the engine, the CLI, and
-``lint_summary`` all go through it.  New rules register by being added to
+``default_rules()`` is the canonical rule set; the engine and the CLI
+both go through it.  New rules register by being added to
 ``_RULE_CLASSES`` — keep the list sorted by rule ID so ``--list-rules``
 output is stable.
 """
@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from ..engine import Rule
 from .backend import BackendPurityRule, LazyAcceleratorImportRule
-from .cancelflow import CancelFlowRule
 from .concurrency import CancelPollRule, LockGuardRule, LockHazardRule
-from .contextvars import ContextVarScopeRule
 from .determinism import SetIterationRule, UnseededRandomRule, WallClockRule
 from .hygiene import FloatEqualityRule, PicklableTaskRule, SpanContextRule
-from .lockorder import LockOrderRule
 from .typing_rules import AnnotationsRequiredRule, BareGenericRule
 from .variation import PureVariationRule
 
@@ -30,9 +27,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     LockGuardRule,           # CNC201
     LockHazardRule,          # CNC202
     CancelPollRule,          # CNC203
-    LockOrderRule,           # CNC204
-    CancelFlowRule,          # CNC205
-    ContextVarScopeRule,     # CTX901
     FloatEqualityRule,       # NUM301
     SpanContextRule,         # OBS401
     PicklableTaskRule,       # PCK501

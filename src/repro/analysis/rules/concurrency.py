@@ -5,7 +5,8 @@ priority queue, a worker pool, an LRU cache and one metrics registry, all
 mutated from HTTP handler threads and solver workers at once.  Its safety
 rests on two conventions — every guarded attribute is only mutated inside
 ``with <lock>:``, and nothing slow (or lock-acquiring) runs while a lock
-is held.  The third convention lives in ``repro.core``: long-running
+is held.  The second makes every lock a leaf: no thread ever holds two
+project locks, so lock-order cycles cannot form.  The third convention lives in ``repro.core``: long-running
 functions accept a cooperative ``cancel`` token and must actually poll or
 forward it, otherwise serve-layer timeouts/cancellation silently rot.
 """
@@ -23,11 +24,8 @@ __all__ = ["LockGuardRule", "LockHazardRule", "CancelPollRule", "collect_lock_in
 
 _LOCK_INFO_KEY = "concurrency.lock_info"
 
-#: Constructors whose result is a mutual-exclusion primitive.  ``new_lock``
-#: is the sanitizer factory (``analysis/sanitizer.py``): it returns a plain
-#: or order-checked lock depending on REPRO_LOCK_SANITIZER, and the
-#: analyzer must see through it or go blind on the whole serve tier.
-_LOCK_CTORS = {"Lock", "RLock", "Condition", "new_lock"}
+#: Constructors whose result is a mutual-exclusion primitive.
+_LOCK_CTORS = {"Lock", "RLock", "Condition"}
 
 #: Constructors whose instances are safe to mutate without a lock
 #: (GIL-atomic mutations or dedicated synchronization primitives).
@@ -61,11 +59,10 @@ class ClassLockInfo:
 def _ctor_name(value: ast.expr) -> str | None:
     """The simple constructor name of ``X(...)`` / ``mod.X(...)`` values.
 
-    Sees through the shared-lock constructor pattern
-    ``self._lock = lock if lock is not None else threading.Lock()`` by
-    resolving the concrete branch of the ``IfExp`` — the attribute holds a
-    mutex either way, so lock-owning classes using the pattern must not
-    escape CNC201/CNC202.
+    Sees through the optional-dependency pattern
+    ``self.metrics = metrics if metrics is not None else MetricsRegistry()``
+    by resolving the concrete branch of the ``IfExp``, so CNC202 knows the
+    attribute's class (and whether its methods take a lock) either way.
     """
     if isinstance(value, ast.IfExp):
         return _ctor_name(value.body) or _ctor_name(value.orelse)
@@ -359,6 +356,7 @@ class LockHazardRule(Rule):
     ) -> Iterator[Violation]:
         held_name = sorted(held)[0]
         for stmt in body:
+            callees: set[int] = set()  # a call's callee is reported as a call
             for node in self._walk_same_frame(stmt):
                 if isinstance(node, ast.With):
                     other = _with_lock_attrs(node, info.lock_attrs) - held
@@ -371,8 +369,9 @@ class LockHazardRule(Rule):
                             "hold one lock at a time",
                         )
                 if isinstance(node, ast.Call):
+                    callees.add(id(node.func))
                     yield from self._check_call(ctx, info, lock_info, node, held, held_name)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and id(node) not in callees:
                     yield from self._check_property(
                         ctx, info, lock_info, node, held_name
                     )

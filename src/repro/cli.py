@@ -257,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true", help="print the registered rules and exit"
     )
-    lint.add_argument(
-        "--lock-graph",
-        type=str,
-        default=None,
-        metavar="OUT",
-        help="also write the repro.lockgraph/v1 JSON artifact to OUT",
-    )
 
     vary = sub.add_parser(
         "vary", help="scenario-diversity differential testing (docs/variation.md)"
@@ -549,8 +542,6 @@ def _cmd_lint(args) -> int:
         argv.append("--strict")
     if args.list_rules:
         argv.append("--list-rules")
-    if args.lock_graph:
-        argv += ["--lock-graph", args.lock_graph]
     return lint_main(argv, prog="repro lint")
 
 

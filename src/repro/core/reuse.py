@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from ..analysis.sanitizer import LockLike
 from ..io import canonical_extraction_hash, canonical_json
 from ..lru import BytesLRU
 from ..model.entities import Strategy
@@ -251,11 +250,8 @@ class CandidateSetCache(BytesLRU):
         *,
         directory: str | os.PathLike[str] | None = None,
         metrics: MetricsRegistry | None = None,
-        lock: LockLike | None = None,
     ) -> None:
-        super().__init__(
-            max_entries, max_bytes, metrics=metrics, lock=lock, directory=directory
-        )
+        super().__init__(max_entries, max_bytes, metrics=metrics, directory=directory)
 
     def get(self, key: str, scenario: Scenario | None = None) -> "CandidateSet | None":
         """Deserialized candidate set for *key* (re-bound to *scenario*)."""

@@ -16,9 +16,9 @@ Eviction only trims memory, never the directory.
 
 Counters land on *metrics* as ``<prefix>.{hits, misses, evictions, stores,
 oversize, disk_loads, corrupt}`` plus the peak gauges
-``<prefix>.{entries, bytes}``.  The registry is not thread-safe: callers
-sharing *metrics* pass the lock guarding it as *lock*.  All map and
-registry mutations run under that lock; codecs and disk I/O outside it.
+``<prefix>.{entries, bytes}``.  The cache's own lock guards only the map
+and its byte total; metrics are recorded after releasing it, and codecs
+and disk I/O run outside it (the leaf-lock rule, DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ import contextlib
 import hashlib
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
-from .analysis.sanitizer import LockLike, new_lock
 from .obs import MetricsRegistry
 
 __all__ = ["BytesLRU"]
@@ -56,7 +56,6 @@ class BytesLRU:
         max_bytes: int,
         *,
         metrics: MetricsRegistry | None = None,
-        lock: LockLike | None = None,
         directory: str | os.PathLike[str] | None = None,
     ) -> None:
         if max_entries <= 0:
@@ -69,8 +68,8 @@ class BytesLRU:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Guards ``_entries``/``_bytes`` *and* the registry.
-        self._lock = lock if lock is not None else new_lock(f"{type(self).__name__}._lock")
+        #: Guards ``_entries`` and ``_bytes`` only.
+        self._lock = threading.Lock()
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._bytes = 0
 
@@ -82,45 +81,56 @@ class BytesLRU:
             blob = self._entries.get(key)
             if blob is not None:
                 self._entries.move_to_end(key)
-                self.metrics.inc(f"{self.prefix}.hits")
-                return blob
-        disk = self._read_disk(key)
-        with self._lock:
-            if disk is None:
-                self.metrics.inc(f"{self.prefix}.misses")
-                return None
-            self._insert_locked(key, disk)
+        if blob is not None:
             self.metrics.inc(f"{self.prefix}.hits")
-            self.metrics.inc(f"{self.prefix}.disk_loads")
+            return blob
+        disk = self._read_disk(key)
+        if disk is None:
+            self.metrics.inc(f"{self.prefix}.misses")
+            return None
+        with self._lock:
+            sizes = self._insert_locked(key, disk)
+        self._record(sizes, "hits", "disk_loads")
         return disk
 
     def put_bytes(self, key: str, blob: bytes) -> bool:
         """Store *blob* under *key*; returns whether it was cached."""
         if len(blob) > self.max_bytes:
-            with self._lock:
-                self.metrics.inc(f"{self.prefix}.oversize")
+            self.metrics.inc(f"{self.prefix}.oversize")
             return False
         self._write_disk(key, blob)
         with self._lock:
-            self._insert_locked(key, blob)
-            self.metrics.inc(f"{self.prefix}.stores")
+            sizes = self._insert_locked(key, blob)
+        self._record(sizes, "stores")
         return True
 
-    def _insert_locked(self, key: str, blob: bytes) -> None:
-        """Insert + LRU-evict; caller holds ``self._lock``."""
+    def _insert_locked(self, key: str, blob: bytes) -> tuple[int, int, int]:
+        """Insert + LRU-evict; caller holds ``self._lock``.  Returns
+        ``(evicted, entries, bytes)`` for the caller to record once the
+        lock is released."""
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= len(old)
+        evicted = 0
         while self._entries and (
             len(self._entries) >= self.max_entries or self._bytes + len(blob) > self.max_bytes
         ):
             _, victim = self._entries.popitem(last=False)
             self._bytes -= len(victim)
-            self.metrics.inc(f"{self.prefix}.evictions")
+            evicted += 1
         self._entries[key] = blob
         self._bytes += len(blob)
-        self.metrics.gauge(f"{self.prefix}.entries", float(len(self._entries)))
-        self.metrics.gauge(f"{self.prefix}.bytes", float(self._bytes))
+        return evicted, len(self._entries), self._bytes
+
+    def _record(self, sizes: tuple[int, int, int], *counters: str) -> None:
+        """Record one insert's evictions, peak sizes and *counters*."""
+        evicted, entries, nbytes = sizes
+        if evicted:
+            self.metrics.inc(f"{self.prefix}.evictions", evicted)
+        self.metrics.gauge(f"{self.prefix}.entries", float(entries))
+        self.metrics.gauge(f"{self.prefix}.bytes", float(nbytes))
+        for name in counters:
+            self.metrics.inc(f"{self.prefix}.{name}")
 
     def _path_for(self, key: str) -> Path | None:
         if self.directory is None:
@@ -144,8 +154,7 @@ class BytesLRU:
             return blob
         with contextlib.suppress(OSError):
             path.unlink()
-        with self._lock:
-            self.metrics.inc(f"{self.prefix}.corrupt")
+        self.metrics.inc(f"{self.prefix}.corrupt")
         return None
 
     def _write_disk(self, key: str, blob: bytes) -> None:
@@ -182,13 +191,14 @@ class BytesLRU:
         """Live view (counters cumulative; entries and bytes current,
         unlike the peak-keeping gauges)."""
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "persistent": self.directory is not None,
-                "hits": self.metrics.counter(f"{self.prefix}.hits"),
-                "misses": self.metrics.counter(f"{self.prefix}.misses"),
-                "evictions": self.metrics.counter(f"{self.prefix}.evictions"),
-            }
+            entries, nbytes = len(self._entries), self._bytes
+        return {
+            "entries": entries,
+            "bytes": nbytes,
+            "max_entries": self.max_entries,
+            "max_bytes": self.max_bytes,
+            "persistent": self.directory is not None,
+            "hits": self.metrics.counter(f"{self.prefix}.hits"),
+            "misses": self.metrics.counter(f"{self.prefix}.misses"),
+            "evictions": self.metrics.counter(f"{self.prefix}.evictions"),
+        }

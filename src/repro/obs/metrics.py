@@ -17,6 +17,10 @@ registry per task and ship the snapshot back with the task result; the
 parent folds it in with :meth:`MetricsRegistry.merge`.  Counter totals are
 therefore identical whether a pipeline runs serially or across workers.
 
+A registry is thread-safe: its own lock guards its three maps and nothing
+else, and no method calls out while holding it, so recording a metric
+never nests inside another lock (DESIGN.md §8).
+
 Canonical metric names used by the solve pipeline are listed in
 DESIGN.md §"Observability".
 """
@@ -24,6 +28,7 @@ DESIGN.md §"Observability".
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -99,6 +104,7 @@ class MetricsRegistry:
     """Mutable metric accumulator for one run (or one worker task)."""
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramSummary] = {}
@@ -110,22 +116,28 @@ class MetricsRegistry:
     # -- instruments ---------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
         """Add *amount* to counter *name* (created at 0)."""
-        self._counters[name] = self._counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Record a level sample; the registry keeps the maximum seen."""
+        with self._lock:
+            self._gauge_locked(name, value)
+
+    def _gauge_locked(self, name: str, value: float) -> None:
         prev = self._gauges.get(name)
         if prev is None or value > prev:
             self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Feed one value into histogram *name*."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = HistogramSummary()
-        hist.observe(value)
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = HistogramSummary()
+            hist.observe(value)
 
-    # -- accessors ------------------------------------------------------
+    # -- accessors (single dict reads, atomic without the lock) ---------
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
 
@@ -166,22 +178,25 @@ class MetricsRegistry:
 
     # -- snapshot / merge ----------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters=dict(self._counters),
-            gauges=dict(self._gauges),
-            histograms={k: h.to_dict() for k, h in self._histograms.items()},
-        )
+        with self._lock:
+            return MetricsSnapshot(
+                counters=dict(self._counters),
+                gauges=dict(self._gauges),
+                histograms={k: h.to_dict() for k, h in self._histograms.items()},
+            )
 
     def merge(self, other: "MetricsSnapshot | MetricsRegistry") -> None:
         """Fold another registry/snapshot in: counters add, gauges max,
-        histograms combine."""
+        histograms combine.  Takes *other*'s lock (for its snapshot) and
+        then this registry's, never both at once."""
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, value in snap.counters.items():
-            self.inc(name, value)
-        for name, value in snap.gauges.items():
-            self.gauge(name, value)
-        for name, hdict in snap.histograms.items():
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = HistogramSummary()
-            hist.merge(hdict)
+        with self._lock:
+            for name, value in snap.counters.items():
+                self._counters[name] = self._counters.get(name, 0) + value
+            for name, value in snap.gauges.items():
+                self._gauge_locked(name, value)
+            for name, hdict in snap.histograms.items():
+                hist = self._histograms.get(name)
+                if hist is None:
+                    hist = self._histograms[name] = HistogramSummary()
+                hist.merge(hdict)

@@ -2,10 +2,9 @@
 
 Every benchmark JSON artifact (``BENCH_*.json``, ``benchmarks/results/*``)
 routes through :func:`write_bench_json`, which stamps a ``meta`` block —
-git sha, python/numpy versions, platform, CPU count, UTC timestamp, an
-optional metric snapshot, and the ``repro.analysis`` lint summary (rule
-and violation counts for the tree that produced the numbers) — so numbers
-are attributable to the code and machine that produced them.
+git sha, python/numpy versions, platform, CPU count, UTC timestamp, the
+compute backend and an optional metric snapshot — so numbers are
+attributable to the code and machine that produced them.
 """
 
 from __future__ import annotations
@@ -51,27 +50,6 @@ def git_sha(cwd: str | Path | None = None) -> str | None:
         return None
 
 
-_LINT_CACHE: dict[str, Any] | None = None
-
-
-def _lint_meta() -> dict[str, Any] | None:
-    """Cached ``repro.analysis`` summary for the installed package.
-
-    One lint pass per process: provenance stamping must stay cheap for
-    scripts that write many artifacts.  Any analyzer failure degrades to
-    ``None`` (no ``lint`` key) rather than breaking benchmark writes.
-    """
-    global _LINT_CACHE
-    if _LINT_CACHE is None:
-        try:
-            from ..analysis import lint_summary
-
-            _LINT_CACHE = lint_summary()
-        except Exception:
-            return None
-    return _LINT_CACHE
-
-
 def _backend_meta() -> dict[str, Any] | None:
     """Active compute backend + availability map for provenance stamping.
 
@@ -105,9 +83,6 @@ def run_meta(metrics: MetricsSnapshot | None = None) -> dict[str, Any]:
     backend = _backend_meta()
     if backend is not None:
         meta["backend"] = backend
-    lint = _lint_meta()
-    if lint is not None:
-        meta["lint"] = lint
     if metrics is not None:
         meta["metrics"] = metrics.to_dict()
     return meta

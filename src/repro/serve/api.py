@@ -66,7 +66,6 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from ..analysis.sanitizer import new_lock
 from ..backend import backend_status, resolve_backend
 from ..core import CandidateSetCache, solve_hipo
 from ..core.reuse import extraction_cache_key
@@ -156,29 +155,18 @@ class SolveService:
         # are bit-identical by contract, so this choice never affects
         # results or cache keys — only solve wall-clock.
         self.backend_name: str = resolve_backend(backend).name
+        #: Service-wide, thread-safe registry; the caches and the pool record
+        #: onto it too.  Every component keeps its own leaf lock.
         self.metrics = MetricsRegistry()
-        #: One lock per registry: the registry is not thread-safe, and the
-        #: caches and pool record onto the same instance, so they must share
-        #: this lock (separate locks would guard nothing).
-        self._metrics_lock = new_lock("SolveService._metrics_lock")
         self.queue = JobQueue(queue_size)
-        self.cache = SolveCache(
-            cache_entries, cache_bytes, metrics=self.metrics, lock=self._metrics_lock
-        )
+        self.cache = SolveCache(cache_entries, cache_bytes, metrics=self.metrics)
         self.candidate_cache = CandidateSetCache(
             candidate_cache_entries,
             candidate_cache_bytes,
             directory=candidate_cache_dir,
             metrics=self.metrics,
-            lock=self._metrics_lock,
         )
-        self.pool = SolverPool(
-            self.queue,
-            self._run_job,
-            size=pool_size,
-            metrics=self.metrics,
-            lock=self._metrics_lock,
-        )
+        self.pool = SolverPool(self.queue, self._run_job, size=pool_size, metrics=self.metrics)
         self.default_timeout_s = default_timeout_s
         self.validate_default = validate_default
         self.started_monotonic = time.monotonic()
@@ -192,10 +180,6 @@ class SolveService:
 
     def shutdown(self) -> None:
         self.pool.shutdown()
-
-    def _count(self, name: str, amount: float = 1) -> None:
-        with self._metrics_lock:
-            self.metrics.inc(name, amount)
 
     # -- submission ------------------------------------------------------
     def submit(self, body: dict[str, Any]) -> tuple[Job, bool]:
@@ -261,10 +245,8 @@ class SolveService:
             timeout_s=timeout_s,
             cache_key=key,
         )
-        self._count("serve.jobs.submitted")
-        depth = self.queue.depth  # read first: depth takes the queue's own lock
-        with self._metrics_lock:
-            self.metrics.gauge("serve.queue.peak_depth", float(depth))
+        self.metrics.inc("serve.jobs.submitted")
+        self.metrics.gauge("serve.queue.peak_depth", float(self.queue.depth))
         return job, False
 
     def _cached_job(self, key: str, payload: dict[str, Any], priority: int) -> Job:
@@ -307,9 +289,8 @@ class SolveService:
         solution = self._solve(scenario, params, tracer, job_metrics, cancel=None)
         payload = self._solution_payload(key, scenario, params, solution)
         self.cache.put(key, payload)
-        with self._metrics_lock:
-            self.metrics.merge(job_metrics)
-            self.metrics.inc("serve.jobs.candidate_tier")
+        self.metrics.merge(job_metrics)
+        self.metrics.inc("serve.jobs.candidate_tier")
         job = Job(
             id=uuid.uuid4().hex[:16],
             request={},
@@ -397,8 +378,7 @@ class SolveService:
         payload = self._solution_payload(job.cache_key, scenario, params, solution)
         if use_cache:
             self.cache.put(job.cache_key, payload)
-        with self._metrics_lock:
-            self.metrics.merge(job_metrics)
+        self.metrics.merge(job_metrics)
         return payload
 
     # -- reads -----------------------------------------------------------
@@ -422,10 +402,8 @@ class SolveService:
         }
 
     def metrics_payload(self) -> dict[str, Any]:
-        with self._metrics_lock:
-            snapshot = self.metrics.snapshot().to_dict()
         return {
-            "metrics": snapshot,
+            "metrics": self.metrics.snapshot().to_dict(),
             "queue": {
                 "depth": self.queue.depth,
                 "capacity": self.queue.maxsize,
@@ -447,11 +425,10 @@ class SolveService:
             pass
         sp.wall_s = seconds  # the handler measured the real duration
         self.request_log.append(sp.to_dict())
-        with self._metrics_lock:
-            self.metrics.inc("serve.requests")
-            self.metrics.inc(f"serve.requests.{method.lower()}")
-            self.metrics.inc(f"serve.responses.{status}")
-            self.metrics.observe("serve.request_seconds", seconds)
+        self.metrics.inc("serve.requests")
+        self.metrics.inc(f"serve.requests.{method.lower()}")
+        self.metrics.inc(f"serve.responses.{status}")
+        self.metrics.observe("serve.request_seconds", seconds)
 
 
 class _Handler(BaseHTTPRequestHandler):

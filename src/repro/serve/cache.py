@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..analysis.sanitizer import LockLike
 from ..lru import BytesLRU
 from ..obs import MetricsRegistry
 
@@ -34,9 +33,8 @@ class SolveCache(BytesLRU):
         max_bytes: int = 64 * 1024 * 1024,
         *,
         metrics: MetricsRegistry | None = None,
-        lock: LockLike | None = None,
     ) -> None:
-        super().__init__(max_entries, max_bytes, metrics=metrics, lock=lock)
+        super().__init__(max_entries, max_bytes, metrics=metrics)
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached result payload for *key*, or ``None`` on miss.

@@ -24,6 +24,8 @@ pull them in priority order, and every job walks the state machine ::
   ever served.
 
 All public methods are thread-safe (single internal lock + condition).
+The lock is a leaf: it guards only the heap and the job registry, and
+nothing called under it takes another project lock.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-
-from ..analysis.sanitizer import new_lock
 from typing import Any
 
 __all__ = [
@@ -140,7 +140,7 @@ class JobQueue:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
         self.max_history = max(max_history, 1)
-        self._lock = new_lock("JobQueue._lock")
+        self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._heap: list[tuple[int, int, Job]] = []  # (-priority, seq, job)
         self._seq = itertools.count()
@@ -166,7 +166,7 @@ class JobQueue:
             submitted_s=time.monotonic(),
         )
         with self._not_empty:
-            if self.depth_locked() >= self.maxsize:
+            if len(self._heap) >= self.maxsize:
                 raise QueueFull(
                     f"queue full ({self.maxsize} jobs queued); retry later"
                 )
@@ -190,25 +190,15 @@ class JobQueue:
     def next_job(self, *, timeout: float | None = None) -> Job | None:
         """Pop the highest-priority queued job, blocking up to *timeout*.
 
-        Jobs cancelled while queued are skipped (their state is already
-        final).  Returns ``None`` on timeout.
+        Returns ``None`` on timeout.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_empty:
-            while True:
-                while self._heap:
-                    _, _, job = heapq.heappop(self._heap)
-                    if job.state == JobState.QUEUED:
-                        job.state = JobState.RUNNING
-                        job.started_s = time.monotonic()
-                        return job
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._not_empty.wait(remaining)
-                else:
-                    self._not_empty.wait()
+            if not self._not_empty.wait_for(lambda: self._heap, timeout):
+                return None
+            _, _, job = heapq.heappop(self._heap)
+            job.state = JobState.RUNNING
+            job.started_s = time.monotonic()
+            return job
 
     def finish(
         self,
@@ -247,9 +237,10 @@ class JobQueue:
     def cancel(self, job_id: str) -> Job:
         """Request cancellation.
 
-        A queued job is finalized immediately; a running job gets its
-        ``cancel`` event set and reaches ``cancelled`` when the solver's
-        next cooperative check fires.  Cancelling a finished job is a no-op.
+        A queued job is finalized immediately and leaves the heap (O(maxsize)
+        re-heapify); a running job gets its ``cancel`` event set and reaches
+        ``cancelled`` when the solver's next cooperative check fires.
+        Cancelling a finished job is a no-op.
         """
         with self._lock:
             try:
@@ -257,6 +248,8 @@ class JobQueue:
             except KeyError:
                 raise UnknownJob(job_id) from None
             if job.state == JobState.QUEUED:
+                self._heap = [entry for entry in self._heap if entry[2] is not job]
+                heapq.heapify(self._heap)
                 job.state = JobState.CANCELLED
                 job.finished_s = time.monotonic()
                 job.cancel.set()
@@ -267,14 +260,11 @@ class JobQueue:
             return job
 
     # -- introspection --------------------------------------------------
-    def depth_locked(self) -> int:
-        return sum(1 for _, _, j in self._heap if j.state == JobState.QUEUED)
-
     @property
     def depth(self) -> int:
         """Number of jobs currently waiting (excludes running/finished)."""
         with self._lock:
-            return self.depth_locked()
+            return len(self._heap)
 
     def counts(self) -> dict[str, int]:
         """Jobs per state across the retained history."""

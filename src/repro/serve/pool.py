@@ -25,11 +25,9 @@ via ``params.workers``).  The pool owns everything around it:
 
 Metric counters (``serve.jobs.done`` / ``failed`` / ``timeout`` /
 ``cancelled``), the ``serve.job_seconds`` histogram and the
-``serve.jobs.running`` peak gauge land on the shared registry under the
-pool lock (the registry itself is not thread-safe).  When the registry is
-shared with other components, pass the lock guarding it as *lock* so there
-is exactly one lock per registry — :class:`~repro.serve.api.SolveService`
-does this for its service-wide registry.
+``serve.jobs.running`` peak gauge land on *metrics*, which may be shared
+(the registry is thread-safe).  The pool's own lock guards only
+``_threads`` and ``_running``; metrics are recorded after releasing it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..analysis.sanitizer import LockLike, new_lock
 from ..core import SolveCancelled
 from ..obs import MetricsRegistry, Tracer
 from .jobs import Job, JobQueue, JobState
@@ -59,7 +56,6 @@ class SolverPool:
         *,
         size: int = 2,
         metrics: MetricsRegistry | None = None,
-        lock: LockLike | None = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"pool size must be positive, got {size}")
@@ -67,9 +63,8 @@ class SolverPool:
         self.runner = runner
         self.size = size
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Guards the registry, ``_threads`` and ``_running``.  Callers
-        #: sharing *metrics* must share this lock too.
-        self._lock = lock if lock is not None else new_lock("SolverPool._lock")
+        #: Guards ``_threads`` and ``_running`` only.
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._running = 0
@@ -91,7 +86,7 @@ class SolverPool:
         with self._lock:
             threads = list(self._threads)
         if wait:
-            for t in threads:  # join outside the lock: workers take it to count
+            for t in threads:  # join outside the lock: workers take it too
                 t.join(timeout)
         with self._lock:
             self._threads = []
@@ -117,20 +112,17 @@ class SolverPool:
                 continue
             self._run_job(job)
 
-    def _count(self, name: str, amount: float = 1) -> None:
-        with self._lock:
-            self.metrics.inc(name, amount)
-
     def _run_job(self, job: Job) -> None:
         if job.deadline_passed:
             self.queue.finish(
                 job, JobState.TIMEOUT, error=f"timed out in queue after {job.timeout_s}s"
             )
-            self._count("serve.jobs.timeout")
+            self.metrics.inc("serve.jobs.timeout")
             return
         with self._lock:
             self._running += 1
-            self.metrics.gauge("serve.jobs.running", float(self._running))
+            running = self._running
+        self.metrics.gauge("serve.jobs.running", float(running))
         timer = None
         deadline = job.deadline_s
         if deadline is not None:
@@ -150,22 +142,22 @@ class SolverPool:
                     sp.to_dict() for sp in sorted(tracer.spans, key=lambda s: s.start_s)
                 ]
             self.queue.finish(job, JobState.DONE, result=result)
-            self._count("serve.jobs.done")
+            self.metrics.inc("serve.jobs.done")
         except SolveCancelled:
             if job.deadline_passed:
                 self.queue.finish(
                     job, JobState.TIMEOUT, error=f"timed out after {job.timeout_s}s"
                 )
-                self._count("serve.jobs.timeout")
+                self.metrics.inc("serve.jobs.timeout")
             else:
                 self.queue.finish(job, JobState.CANCELLED, error="cancelled by client")
-                self._count("serve.jobs.cancelled")
+                self.metrics.inc("serve.jobs.cancelled")
         except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
             self.queue.finish(job, JobState.FAILED, error=f"{type(exc).__name__}: {exc}")
-            self._count("serve.jobs.failed")
+            self.metrics.inc("serve.jobs.failed")
         finally:
             if timer is not None:
                 timer.cancel()
             with self._lock:
                 self._running -= 1
-                self.metrics.observe("serve.job_seconds", time.perf_counter() - t0)
+            self.metrics.observe("serve.job_seconds", time.perf_counter() - t0)

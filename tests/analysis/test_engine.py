@@ -260,13 +260,3 @@ def test_noqa_works_inside_decorated_and_nested_functions(lint_tree):
     )
     assert rule_ids(strict) == ["DET101"]
 
-
-def test_lint_summary_reports_per_family_rule_counts(tmp_path):
-    from repro.analysis import lint_summary
-
-    summary = lint_summary([tmp_path])
-    assert summary["rules"] == sum(summary["families"].values())
-    for family in ("BKD", "CNC", "DET", "TYP"):
-        assert summary["families"][family] >= 2
-    assert summary["families"]["CTX"] == 1
-    assert summary["errors"] == 0 and summary["warnings"] == 0

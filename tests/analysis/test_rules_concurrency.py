@@ -371,3 +371,47 @@ def test_cnc203_out_of_scope_outside_core(lint_tree):
         select=["CNC203"],
     )
     assert result.violations == []
+
+
+def test_cnc202_enforces_leaf_locks_through_an_optional_registry(lint_tree):
+    # The serve-layer shape: a component records onto a lock-owning
+    # registry it may be handed (``metrics if metrics is not None else
+    # MetricsRegistry()``).  Recording under its own lock nests two locks;
+    # each such call is reported once.
+    result = lint_tree(
+        {
+            "serve/lru.py": """\
+    import threading
+
+    class MetricsRegistry:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._counters = {}
+
+        def inc(self, name):
+            with self._lock:
+                self._counters[name] = self._counters.get(name, 0) + 1
+
+    class Cache:
+        def __init__(self, metrics=None):
+            self._lock = threading.Lock()
+            self.metrics = metrics if metrics is not None else MetricsRegistry()
+            self._entries = {}
+
+        def put(self, key, value):
+            with self._lock:
+                self._entries[key] = value
+                self.metrics.inc("stores")
+
+        def get(self, key):
+            with self._lock:
+                value = self._entries.get(key)
+            self.metrics.inc("hits")
+            return value
+    """
+        },
+        select=["CNC202"],
+    )
+    assert rule_ids(result) == ["CNC202"]
+    assert "self.metrics.inc()" in result.violations[0].message
+    assert result.violations[0].line == 21

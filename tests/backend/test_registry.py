@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from backend_testlib import pyloop_registered  # noqa: F401  (fixture)
 
@@ -72,13 +74,25 @@ def test_env_var_selects_backend(monkeypatch):
         resolve_backend(None)
 
 
-def test_use_backend_scopes_the_ambient_choice():
+def test_use_backend_scopes_the_ambient_choice(pyloop_registered):
     before = active_backend().name
-    with use_backend("numpy") as b:
-        assert b.name == "numpy"
+    assert before != "pyloop"
+    with use_backend("pyloop") as b:
+        assert b.name == "pyloop"
         assert active_backend() is b
         # Ambient beats the environment inside the block.
         assert resolve_backend(None) is b
+        # A thread started inside the block does not inherit the choice.
+        seen = []
+        t = threading.Thread(target=lambda: seen.append(active_backend().name))
+        t.start()
+        t.join()
+        assert seen == [before]
+    assert active_backend().name == before
+    # A body that raises still restores the prior choice.
+    with pytest.raises(RuntimeError):
+        with use_backend("pyloop"):
+            raise RuntimeError("boom")
     assert active_backend().name == before
 
 

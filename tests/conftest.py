@@ -1,23 +1,8 @@
-"""Shared fixtures and helpers for the test suite.
-
-The runtime lock-order sanitizer is switched on for the whole tier-1
-suite: setting ``REPRO_LOCK_SANITIZER=1`` before any repro module
-instantiates its locks makes ``repro.concurrency.new_lock`` hand out
-order-checked proxies, so every threaded test doubles as a dynamic
-deadlock check — an acquisition that inverts the established lock order
-raises ``LockOrderViolation`` instead of hanging the suite.  The session
-fixture below seeds the ordering graph from the *static*
-``repro.lockgraph/v1`` document, so a runtime inversion is caught even
-when the other half of the cycle never executes under test.
-"""
+"""Shared fixtures and helpers for the test suite."""
 
 from __future__ import annotations
 
 import math
-import os
-from typing import Iterator
-
-os.environ.setdefault("REPRO_LOCK_SANITIZER", "1")
 
 import numpy as np
 import pytest
@@ -31,20 +16,6 @@ from repro.model import (
     PairCoefficients,
     Scenario,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def seed_static_lock_order() -> Iterator[None]:
-    from repro.analysis import default_source_root
-    from repro.analysis.lockgraph import build_lock_graph, validate_lock_graph
-    from repro.analysis.sanitizer import install_static_order
-
-    doc = build_lock_graph([default_source_root()])
-    validate_lock_graph(doc)
-    # A statically known deadlock should fail loudly here, not flake later.
-    assert doc["cycles"] == [], f"static lock-order cycles: {doc['cycles']}"
-    install_static_order((edge["from"], edge["to"]) for edge in doc["edges"])
-    yield
 
 
 @pytest.fixture

@@ -1,0 +1,86 @@
+"""A cancel token that trips mid-sweep, driven through every extraction hop.
+
+The token's ``is_set()`` turns true on its k-th call and records which span
+was open at each poll.  k is chosen so the token trips at the parent's
+first poll between sweep-chunk results: after one poll per position task,
+one before the sweep loop and one after the first chunk.  If any hop
+(``solve_hipo`` -> ``build_candidate_set`` -> ``positions_from_tasks`` /
+the sweep loop, or the serve pool's runner) stops forwarding ``cancel``,
+the recorded poll sequence changes or the solve finishes, and the tests
+fail.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core import SolveCancelled, solve_hipo
+from repro.experiments import small_scenario
+from repro.io import scenario_to_dict
+from repro.obs import Tracer
+from repro.serve import JobState
+from repro.serve.api import SolveService
+
+
+class TripOnCall:
+    """Cancel token whose ``is_set()`` is true from its *k*-th call on."""
+
+    def __init__(self, k: int, tracer: Tracer | None = None) -> None:
+        self.k = k
+        self.tracer = tracer
+        self.calls = 0
+        self.spans: list[str] = []
+
+    def is_set(self) -> bool:
+        self.calls += 1
+        if self.tracer is not None:
+            self.spans.append(self.tracer.current.name)
+        return self.calls >= self.k
+
+
+def _scenario():
+    return small_scenario(np.random.default_rng(7), num_devices=4)
+
+
+def _position_polls(scenario, workers: int) -> int:
+    """Polls before the sweeps: one per device task when pooled, else one
+    per active charger type."""
+    if workers > 1:
+        return scenario.num_devices
+    return sum(1 for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_solve_raises_when_token_trips_inside_sweeps(workers):
+    scenario = _scenario()
+    polls = _position_polls(scenario, workers)
+    tracer = Tracer()
+    token = TripOnCall(polls + 2, tracer)
+    with pytest.raises(SolveCancelled):
+        solve_hipo(scenario, workers=workers, tracer=tracer, cancel=token)
+    assert token.spans == ["positions"] * polls + ["sweeps", "sweeps"]
+    assert tracer.find("sweeps").status == "error"
+    assert tracer.find("selection") is None
+
+
+def test_pool_job_ends_cancelled_when_token_trips_inside_sweeps():
+    scenario = _scenario()
+    service = SolveService(pool_size=1, queue_size=4)  # started after the swap
+    job, cached = service.submit({"scenario": scenario_to_dict(scenario), "use_cache": False})
+    assert not cached
+    token = TripOnCall(_position_polls(scenario, 1) + 2)
+    job.cancel = token
+    service.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while job.state not in (JobState.CANCELLED, JobState.DONE, JobState.FAILED):
+            assert time.monotonic() < deadline, f"job stuck in {job.state!r}"
+            time.sleep(0.01)
+    finally:
+        service.shutdown()
+    assert job.state == JobState.CANCELLED
+    assert token.calls == token.k
+    spans = {sp["name"]: sp for sp in job.trace}
+    assert spans["sweeps"]["status"] == "error" and "selection" not in spans
+    assert service.metrics.counter("serve.jobs.cancelled") == 1

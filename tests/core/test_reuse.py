@@ -3,6 +3,7 @@ and the headline guarantee — warm-started solves are byte-identical to
 cold ones."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ def test_ambient_cache_via_context_manager():
     # Outside the block solve_hipo no longer consults it.
     solve_hipo(sc)
     assert cache.stats()["hits"] == 1
+    # A thread started inside the block does not see the ambient cache,
+    # and a body that raises still restores the prior value.
+    seen = []
+    outer = CandidateSetCache()
+    with use_candidate_cache(outer):
+        with pytest.raises(RuntimeError):
+            with use_candidate_cache(cache):
+                t = threading.Thread(target=lambda: seen.append(active_candidate_cache()))
+                t.start()
+                t.join()
+                raise RuntimeError("boom")
+        assert active_candidate_cache() is outer
+    assert seen == [None]
+    assert active_candidate_cache() is None
 
 
 def test_explicit_positions_bypass_cache():

@@ -54,6 +54,29 @@ def test_cancel_queued_job_is_final_and_skipped():
     assert q.next_job(timeout=0.1) is b
 
 
+def test_cancelled_queued_jobs_leave_the_heap():
+    # With no worker draining, every cancelled job used to keep its heap
+    # entry (and its request) until a worker popped it.
+    q = JobQueue(4)
+    for _ in range(10_000):
+        q.cancel(q.submit({"payload": "x" * 64}).id)
+    assert q._heap == [] and q.depth == 0
+    for _ in range(q.maxsize):
+        q.submit({})
+    with pytest.raises(QueueFull):
+        q.submit({})
+
+
+def test_cancel_keeps_priority_order_of_the_rest():
+    q = JobQueue(8)
+    jobs = [q.submit({}, priority=p) for p in (1, 5, 3, 5, 2)]
+    q.cancel(jobs[1].id)
+    q.cancel(jobs[4].id)
+    popped = [q.next_job(timeout=0.1) for _ in range(3)]
+    assert popped == [jobs[3], jobs[2], jobs[0]]
+    assert q.next_job(timeout=0.01) is None
+
+
 def test_cancel_running_job_sets_event_only():
     q = JobQueue(4)
     a = q.submit({})

@@ -1,14 +1,15 @@
-"""Regression tests for the serve-layer lock discipline (CNC201/CNC202).
+"""Regression tests for the serve-layer leaf locks (DESIGN.md §8).
 
-The service shares one non-thread-safe :class:`MetricsRegistry` between
-the HTTP layer, the cache and the pool; correctness rests on all three
-guarding it with the *same* lock, and on nothing lock-acquiring running
-inside a locked region (``submit`` reads ``queue.depth`` — which takes
-the queue's own lock — before taking the metrics lock).
+Every component owns its lock and guards only its own fields; the shared
+:class:`MetricsRegistry` is thread-safe on its own, so components record
+metrics after releasing their lock and no thread ever holds two.
 """
 
+import sys
 import threading
 import time
+
+import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve import JobQueue, SolverPool
@@ -17,9 +18,20 @@ from repro.serve.cache import SolveCache
 
 
 def test_service_shares_one_metrics_lock():
+    # The one lock the components share is the registry's own; each
+    # component's lock is a separate leaf.
     service = SolveService(pool_size=1, queue_size=4)
-    assert service.cache._lock is service._metrics_lock
-    assert service.pool._lock is service._metrics_lock
+    assert service.cache.metrics is service.metrics
+    assert service.candidate_cache.metrics is service.metrics
+    assert service.pool.metrics is service.metrics
+    locks = [
+        service.metrics._lock,
+        service.cache._lock,
+        service.candidate_cache._lock,
+        service.pool._lock,
+        service.queue._lock,
+    ]
+    assert len({id(lock) for lock in locks}) == len(locks)
 
 
 def test_submit_records_peak_depth_gauge(rng):
@@ -34,12 +46,41 @@ def test_submit_records_peak_depth_gauge(rng):
     assert service.metrics.counter("serve.jobs.submitted") == 1
 
 
+def test_registry_concurrent_inc_sums_exactly():
+    registry = MetricsRegistry()
+    threads_n, per_thread = 8, 5000
+    start = threading.Barrier(threads_n)
+
+    def hammer():
+        start.wait()
+        for _ in range(per_thread):
+            registry.inc("hits")
+            registry.observe("seconds", 1.0)
+
+    threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert registry.counter("hits") == threads_n * per_thread
+    assert registry.histogram("seconds").count == threads_n * per_thread
+
+
 def test_pool_accepts_external_lock_and_counts_under_it():
+    # The pool takes an external registry, not an external lock: it owns a
+    # leaf lock and counts under the registry's.
     q = JobQueue(4)
     m = MetricsRegistry()
-    lock = threading.Lock()
-    pool = SolverPool(q, lambda job, tracer: {"ok": True}, size=1, metrics=m, lock=lock)
-    assert pool._lock is lock
+    with pytest.raises(TypeError):
+        SolverPool(q, lambda job, tracer: {}, size=1, metrics=m, lock=threading.Lock())
+    pool = SolverPool(q, lambda job, tracer: {"ok": True}, size=1, metrics=m)
+    assert pool.metrics is m and pool._lock is not m._lock
     pool.start()
     try:
         assert pool.alive == 1
@@ -68,10 +109,13 @@ def test_pool_shutdown_joins_then_clears_threads():
 
 
 def test_cache_accepts_external_lock():
+    # The cache takes an external registry, not an external lock: it owns a
+    # leaf lock and counts under the registry's.
     m = MetricsRegistry()
-    lock = threading.Lock()
-    cache = SolveCache(4, 1 << 20, metrics=m, lock=lock)
-    assert cache._lock is lock
+    with pytest.raises(TypeError):
+        SolveCache(4, 1 << 20, metrics=m, lock=threading.Lock())
+    cache = SolveCache(4, 1 << 20, metrics=m)
+    assert cache.metrics is m and cache._lock is not m._lock
     cache.put("k", {"v": 1})
     assert cache.get("k") == {"v": 1}
     assert m.counter("cache.hits") == 1

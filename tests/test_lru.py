@@ -2,8 +2,6 @@
 exercised through each cache class: the serve-layer ``SolveCache`` and the
 extraction-reuse ``CandidateSetCache``."""
 
-import threading
-
 import pytest
 
 from repro.core import CandidateSetCache
@@ -76,12 +74,10 @@ def test_invalid_limits_rejected(make):
         make(max_bytes=0)
 
 
-def test_external_lock_released_on_every_path(make):
-    lock = threading.Lock()
-    cache = make(max_bytes=8, lock=lock)
-    assert cache._lock is lock
+def test_lock_released_on_every_path(make):
+    cache = make(max_bytes=8)
     cache.put_bytes("k", b"v")
     cache.put_bytes("big", b"x" * 9)  # oversize path
     assert cache.get_bytes("k") and cache.get_bytes("missing") is None and "k" in cache
     cache.stats()
-    assert not lock.locked()
+    assert not cache._lock.locked() and not cache.metrics._lock.locked()
