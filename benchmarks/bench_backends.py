@@ -73,12 +73,16 @@ def kernel_inputs(rng: np.random.Generator, scale: int):
     a = rng.uniform(50.0, 150.0, size=n_pts)
     b = rng.uniform(1.0, 10.0, size=n_pts)
     dists = rng.uniform(0.5, 8.0, size=(8, n_pts))
-    bearings = rng.uniform(0.0, 2.0 * np.pi, size=n_dev)
+    # One sweep chunk: 128 positions, each with 1..n_dev coverable devices
+    # (padded rows, a single-device row among them).
+    bearings = rng.uniform(0.0, 2.0 * np.pi, size=(128, n_dev))
+    counts = rng.integers(1, n_dev + 1, size=128)
+    counts[0] = 1
     return {
         "blocked_segments": lambda bk: bk.blocked_segments(starts, ends, c, d, s),
         "parity_inside": lambda bk: bk.parity_inside(c, d, points),
         "power_fill": lambda bk: bk.power_fill(a, b, dists),
-        "sweep_coverage": lambda bk: bk.sweep_coverage(bearings, np.pi / 4.0, 1e-9),
+        "sweep_coverage": lambda bk: bk.sweep_coverage(bearings, counts, np.pi / 4.0, 1e-9),
     }
 
 

@@ -7,7 +7,7 @@ Algorithm-1 sweep, candidate generation, and one full HIPO solve.
 
 import numpy as np
 
-from repro.core import CandidateGenerator, extract_pdcs_at_point, solve_hipo
+from repro.core import CandidateGenerator, extract_pdcs_many, solve_hipo
 from repro.experiments import random_scenario
 from repro.geometry import visible_mask_many
 
@@ -31,12 +31,7 @@ def bench_coverable_kernel(benchmark):
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 40, size=(64, 2))
 
-    def run():
-        ev.clear_cache()
-        for p in points:
-            ev.coverable(ct, p)
-
-    benchmark(run)
+    benchmark(lambda: ev.coverable_many(ct, points))
 
 
 def bench_pdcs_sweep(benchmark):
@@ -45,7 +40,7 @@ def bench_pdcs_sweep(benchmark):
     ct = sc.charger_types[2]
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 40, size=(64, 2))
-    benchmark(lambda: [extract_pdcs_at_point(ev, ct, p) for p in points])
+    benchmark(lambda: extract_pdcs_many(ev, ct, points))
 
 
 def bench_candidate_generation(benchmark):

@@ -55,7 +55,8 @@ sh scripts/typecheck.sh
 # Tier-1 runs pinned to the numpy reference backend so the gate is
 # deterministic regardless of which accelerators this machine has; the
 # backend-equivalence suite is then repeated on the compiled backend when
-# numba is importable (skipped silently otherwise).
+# numba is importable (skipped silently otherwise), together with the
+# candidate-set digest fixture.
 REPRO_BACKEND=numpy python -m pytest -x -q
 
 for i in 1 2 3 4 5 6 7 8 9 10; do
@@ -64,8 +65,8 @@ done
 echo "serve stress test ok (10 runs)"
 
 if python -c "import numba" 2>/dev/null; then
-    echo "numba importable: repeating backend equivalence on the compiled backend"
-    REPRO_BACKEND=numba python -m pytest tests/backend -x -q
+    echo "numba importable: repeating backend equivalence and candidate-set digests on the compiled backend"
+    REPRO_BACKEND=numba python -m pytest tests/backend tests/core/test_extraction_digest.py -x -q
 fi
 
 # Benchmark self-test: every per-layer timing target of benchmarks/perf

@@ -163,16 +163,19 @@ class KernelBackend(ABC):
 
     @abstractmethod
     def sweep_coverage(
-        self, bearings: np.ndarray, half_angle: float, tol: float
+        self, bearings: np.ndarray, m: np.ndarray, half_angle: float, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Algorithm-1 sweep support: candidate orientations and coverage.
+        """Algorithm-1 sweep support for a batch of charger positions.
 
-        Given the charger→device *bearings* of the coverable devices and
-        the charger cone *half_angle*, returns ``(thetas, coverage)``
-        where ``thetas[t] = mod(bearings[t] + half_angle, 2π)`` puts
-        device *t* on the clockwise cone boundary and ``coverage[t, j]``
-        is True iff device *j* lies inside the cone oriented at
-        ``thetas[t]`` (within *tol*).
+        Row *r* of the padded ``(R, M)`` *bearings* holds the
+        charger→device bearings of the ``m[r]`` coverable devices at one
+        position; entries past ``m[r]`` are padding.  Returns ``(thetas,
+        coverage)``, shaped ``(R, M)`` and ``(R, M, M)``, where
+        ``thetas[r, t] = mod(bearings[r, t] + half_angle, 2π)`` puts device
+        *t* on the clockwise cone boundary and ``coverage[r, t, j]`` is True
+        iff device *j* lies inside the cone oriented at ``thetas[r, t]``
+        (within *tol*).  Padding is ``0.0`` in *thetas* and False in
+        *coverage*.
         """
 
 

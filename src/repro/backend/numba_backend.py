@@ -136,19 +136,21 @@ def _power_fill_2d_py(a: np.ndarray, b: np.ndarray, dists: np.ndarray) -> np.nda
 
 
 def _sweep_coverage_py(
-    bearings: np.ndarray, half_angle: float, tol: float
+    bearings: np.ndarray, m: np.ndarray, half_angle: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    m = bearings.shape[0]
-    thetas = np.empty(m, dtype=np.float64)
-    for t in range(m):
-        thetas[t] = np.mod(bearings[t] + half_angle, TWO_PI)
-    coverage = np.empty((m, m), dtype=np.bool_)
+    rows, width = bearings.shape
+    thetas = np.zeros((rows, width), dtype=np.float64)
+    coverage = np.zeros((rows, width, width), dtype=np.bool_)
     limit = half_angle + tol
-    for t in prange(m):
-        th = thetas[t]
-        for j in range(m):
-            diff = abs(np.mod(bearings[j] - th + math.pi, TWO_PI) - math.pi)
-            coverage[t, j] = diff <= limit
+    for r in prange(rows):
+        n = m[r]
+        for t in range(n):
+            thetas[r, t] = np.mod(bearings[r, t] + half_angle, TWO_PI)
+        for t in range(n):
+            th = thetas[r, t]
+            for j in range(n):
+                diff = abs(np.mod(bearings[r, j] - th + math.pi, TWO_PI) - math.pi)
+                coverage[r, t, j] = diff <= limit
     return thetas, coverage
 
 
@@ -190,7 +192,7 @@ class NumbaBackend(KernelBackend):
         self._parity(edge, edge, pt)
         self._fill_1d(one, one + 1.0, one + 1.0)
         self._fill_2d(one, one + 1.0, np.ones((1, 1), dtype=np.float64))
-        self._sweep(one, 0.5, 1e-9)
+        self._sweep(np.zeros((1, 1), dtype=np.float64), np.ones(1, dtype=np.int64), 0.5, 1e-9)
 
     def blocked_segments(
         self,
@@ -226,11 +228,11 @@ class NumbaBackend(KernelBackend):
         return self._fill_2d(a_c, b_c, d)
 
     def sweep_coverage(
-        self, bearings: np.ndarray, half_angle: float, tol: float
+        self, bearings: np.ndarray, m: np.ndarray, half_angle: float, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        thetas, coverage = self._sweep(
+        return self._sweep(
             np.ascontiguousarray(bearings, dtype=np.float64),
+            np.ascontiguousarray(m, dtype=np.int64),
             float(half_angle),
             float(tol),
         )
-        return thetas, coverage

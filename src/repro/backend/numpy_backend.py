@@ -93,10 +93,13 @@ class NumpyBackend(KernelBackend):
         return a / (dists + b) ** 2
 
     def sweep_coverage(
-        self, bearings: np.ndarray, half_angle: float, tol: float
+        self, bearings: np.ndarray, m: np.ndarray, half_angle: float, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
+        valid = np.arange(bearings.shape[1]) < m[:, None]  # (R, M)
         thetas = np.mod(bearings + half_angle, TWO_PI)
-        # coverage[t, d]: device d inside cone oriented at thetas[t]
-        diff = np.abs(np.mod(bearings[None, :] - thetas[:, None] + math.pi, TWO_PI) - math.pi)
-        coverage = diff <= half_angle + tol
-        return thetas, coverage
+        # coverage[r, t, d]: device d inside the cone oriented at thetas[r, t]
+        diff = np.abs(
+            np.mod(bearings[:, None, :] - thetas[:, :, None] + math.pi, TWO_PI) - math.pi
+        )
+        coverage = (diff <= half_angle + tol) & valid[:, :, None] & valid[:, None, :]
+        return np.where(valid, thetas, 0.0), coverage

@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from ..core.pdcs import extract_pdcs_at_point
+from ..core.pdcs import extract_pdcs_many
 from ..geometry import TWO_PI, grid_length_for_radius, square_grid, triangular_grid
 from ..model.entities import Strategy
 from ..model.network import Scenario
@@ -58,8 +58,9 @@ def grid_placement(
         if scenario.budgets.get(ct.name, 0) == 0:
             continue
         pts = grid_points_for_type(scenario, ct, kind)
+        pdcs = extract_pdcs_many(ev, ct, pts) if orientation == "pdcs" else []
         pool: list[Strategy] = []
-        for p in pts:
+        for i, p in enumerate(pts):
             pos = (float(p[0]), float(p[1]))
             if orientation == "random":
                 pool.append(Strategy(pos, rng.uniform(0.0, TWO_PI), ct))
@@ -69,9 +70,8 @@ def grid_placement(
                     for theta in discretized_orientations(ct.charging_angle)
                 )
             elif orientation == "pdcs":
-                point_strats = extract_pdcs_at_point(ev, ct, p)
-                if point_strats:
-                    pool.extend(Strategy(pos, ps.orientation, ct) for ps in point_strats)
+                if pdcs[i]:
+                    pool.extend(Strategy(pos, ps.orientation, ct) for ps in pdcs[i])
                 else:
                     # Keep the point available so budgets can always be spent.
                     pool.append(Strategy(pos, 0.0, ct))

@@ -50,14 +50,17 @@ def rpad(scenario: Scenario, rng: np.random.Generator) -> list[Strategy]:
     for ct in scenario.charger_types:
         for _ in range(scenario.budgets.get(ct.name, 0)):
             p = scenario.random_free_point(rng)
-            best = None
+            tries = [
+                Strategy((p[0], p[1]), float(theta), ct)
+                for theta in discretized_orientations(ct.charging_angle)
+            ]
+            powers = ev.power_matrix(tries)  # one coverability pass at p
+            best = 0
             best_val = -1.0
-            for theta in discretized_orientations(ct.charging_angle):
-                s = Strategy((p[0], p[1]), float(theta), ct)
-                val = total_utility(current + ev.power_vector(s), ev.thresholds)
+            for k in range(len(tries)):
+                val = total_utility(current + powers[k], ev.thresholds)
                 if val > best_val:
-                    best, best_val = s, val
-            assert best is not None
-            placed.append(best)
-            current += ev.power_vector(best)
+                    best, best_val = k, val
+            placed.append(tries[best])
+            current += powers[best]
     return placed

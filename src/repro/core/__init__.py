@@ -4,6 +4,7 @@ from .areas import INFEASIBLE, AreaCount, FeasibleAreaIndex
 from .approximation import ApproxPowerCalculator, PairApproximation, epsilon1_for
 from .candidates import BoundaryCurves, CandidateGenerator
 from .distributed import (
+    ExtractionWorkerLost,
     SolveCancelled,
     TaskMeasurement,
     assign_tasks,
@@ -17,7 +18,7 @@ from .pdcs import (
     PointStrategy,
     SweptCandidate,
     extract_pdcs_at_point,
-    filter_dominated_sets,
+    extract_pdcs_many,
     strategies_at_point,
     sweep_position_batch,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "CandidateGenerator",
     "CandidateSet",
     "CandidateSetCache",
+    "ExtractionWorkerLost",
     "HIPOSolution",
     "PairApproximation",
     "PointStrategy",
@@ -60,9 +62,9 @@ __all__ = [
     "deserialize_candidate_set",
     "epsilon1_for",
     "extract_pdcs_at_point",
+    "extract_pdcs_many",
     "extraction_cache_key",
     "extraction_pool",
-    "filter_dominated_sets",
     "measure_task_costs",
     "parallel_positions_by_type",
     "select_strategies",

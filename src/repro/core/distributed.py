@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator
@@ -41,6 +42,7 @@ from ..opt.scheduling import Schedule, lpt_schedule
 from .candidates import CandidateGenerator
 
 __all__ = [
+    "ExtractionWorkerLost",
     "SolveCancelled",
     "TaskMeasurement",
     "check_cancel",
@@ -64,6 +66,15 @@ class SolveCancelled(RuntimeError):
     within one task of the token being set — this is how ``repro.serve``
     implements job cancellation and per-job timeouts without killing worker
     processes.
+    """
+
+
+class ExtractionWorkerLost(RuntimeError):
+    """A process of an :func:`extraction_pool` died mid-extraction (killed,
+    out of memory, crashed interpreter).
+
+    The pool is broken at that point and its remaining workers are shut
+    down; the solve fails with this error instead of retrying.
     """
 
 
@@ -243,11 +254,21 @@ def run_tasks(
     Without *pool* the tasks run lazily in-process against *gen* (builtin
     ``map``); with an :func:`extraction_pool` each runs in a worker against
     that worker's own generator (``pool.map``; *task* must be a module-level
-    function).  Either way the caller consumes one result at a time.
+    function).  Either way the caller consumes one result at a time.  A
+    worker that dies surfaces as :class:`ExtractionWorkerLost`.
     """
     if pool is None:
         return map(partial(task, gen), args)
-    return pool.map(partial(_on_worker, task), args)
+    return _pool_results(pool, task, args)
+
+
+def _pool_results(
+    pool: ProcessPoolExecutor, task: Callable[[CandidateGenerator, Any], Any], args: Iterable[Any]
+) -> Iterator[Any]:
+    try:
+        yield from pool.map(partial(_on_worker, task), args)
+    except BrokenProcessPool as exc:
+        raise ExtractionWorkerLost(f"an extraction worker process died: {exc}") from exc
 
 
 def positions_from_tasks(

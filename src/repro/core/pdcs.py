@@ -8,13 +8,14 @@ at orientations where some device sits exactly on the clockwise boundary
 (``θ = bearing + αs/2``), so enumerating those orientations and keeping the
 non-dominated covered sets yields every PDCS at that point (Definition 4.2).
 
-The sweep is vectorized: the full ``m × m`` (orientation × device) coverage
-matrix is one broadcast.
+The sweep runs on a whole batch of positions at once: one backend call
+gives the ``(positions, orientations, devices)`` coverage tensor, and the
+dominance filter is array arithmetic on it.  A single position is row 0
+of a one-row batch.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +32,7 @@ __all__ = [
     "PointStrategy",
     "SweptCandidate",
     "extract_pdcs_at_point",
-    "filter_dominated_sets",
+    "extract_pdcs_many",
     "strategies_at_point",
     "sweep_orientations",
     "sweep_position_batch",
@@ -40,6 +41,13 @@ __all__ = [
 #: Tolerance for the cone-membership decision during the sweep.  A device
 #: sitting exactly on the clockwise boundary must count as covered.
 ANG_TOL = 1e-9
+
+#: Rows of one sweep sub-batch times the square of its widest row's
+#: coverable-device count.  Bounds the ``(rows, M, M)`` coverage and
+#: dominance intermediates (at most 8 bytes an element) to a few tens of
+#: MB however dense the scene; typical chunks (M <= 9) fit in one
+#: sub-batch.
+SWEEP_ELEMENT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,53 +58,62 @@ class PointStrategy:
     covered: tuple[int, ...]  # device indices, ascending
 
 
-def filter_dominated_sets(items: Sequence[tuple[float, frozenset[int]]]) -> list[tuple[float, frozenset[int]]]:
-    """Keep only entries whose covered set is not a strict subset of another's.
+def _nondominated(coverage: np.ndarray) -> np.ndarray:
+    """``keep[r, t]``: orientation *t* of row *r* covers a set that no other
+    orientation of the row strictly contains and that no earlier orientation
+    of the row covers already.
 
-    Duplicates (equal sets) keep the first representative.  Quadratic in the
-    number of entries, which is at most the number of coverable devices.
+    Set sizes and pairwise intersection sizes come from one batched matrix
+    product (exact in float32 below 2**24 devices).  The kept
+    orientations are the first representatives of the maximal sets, in
+    sweep order.
     """
-    uniq: dict[frozenset[int], float] = {}
-    for theta, s in items:
-        if s not in uniq:
-            uniq[s] = theta
-    sets = list(uniq.items())
-    keep: list[tuple[float, frozenset[int]]] = []
-    for i, (s, theta) in enumerate(sets):
-        dominated = False
-        for k, (other, _) in enumerate(sets):
-            if k != i and s < other:
-                dominated = True
-                break
-        if not dominated:
-            keep.append((theta, s))
-    return keep
+    c = coverage.astype(np.float32)
+    inter = c @ c.transpose(0, 2, 1)  # |S_t ∩ S_u|
+    size = c.sum(axis=2)
+    subset = inter == size[:, :, None]  # S_t ⊆ S_u
+    bigger = size[:, :, None] < size[:, None, :]
+    earlier = np.tri(c.shape[1], k=-1, dtype=bool)  # u < t
+    dominated = subset & (bigger | (earlier & (size[:, :, None] == size[:, None, :])))
+    return ~dominated.any(axis=2)
 
 
-def sweep_orientations(ctype: ChargerType, mask: np.ndarray, bearings: np.ndarray) -> list[PointStrategy]:
-    """The rotational sweep given precomputed coverability.
+def sweep_orientations(
+    ctype: ChargerType, mask: np.ndarray, bearings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rotational sweep at a batch of positions, given coverability.
 
-    *mask* marks devices satisfying every orientation-independent condition
-    of Eq. (1); *bearings* are charger→device bearings.  Returns the PDCSs.
+    *mask* ``(R, No)`` marks devices satisfying every orientation-independent
+    condition of Eq. (1) at each position; *bearings* ``(R, No)`` are the
+    charger→device bearings.  Returns ``(rows, thetas, covered)`` with one
+    entry per PDCS: its position row, its witness orientation and its
+    covered devices as a ``(K, No)`` boolean mask.  Rows ascend; within a
+    row the PDCSs keep the order in which the sweep first meets them.
     """
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
-    half = ctype.half_angle
+    mask = np.atleast_2d(mask)
+    bearings = np.atleast_2d(bearings)
+    live = np.nonzero(mask.any(axis=1))[0]
     if ctype.charging_angle >= TWO_PI - EPS:
         # Omnidirectional charger: a single strategy covers everything coverable.
-        return [PointStrategy(0.0, tuple(int(j) for j in idx))]
-    b = bearings[idx]
-    # Candidate orientations (each coverable device on the clockwise
-    # boundary) and the orientation × device coverage matrix, via the
-    # active compute backend.
-    thetas, coverage = active_backend().sweep_coverage(b, half, ANG_TOL)
-    items = [
-        (float(thetas[t]), frozenset(int(idx[d]) for d in np.nonzero(coverage[t])[0]))
-        for t in range(len(thetas))
-    ]
-    kept = filter_dominated_sets(items)
-    return [PointStrategy(theta, tuple(sorted(s))) for theta, s in kept]
+        return live, np.zeros(len(live)), mask[live]
+    m = mask[live].sum(axis=1)
+    step = max(1, SWEEP_ELEMENT_BUDGET // int(m.max(initial=1)) ** 2)
+    rows, thetas, covered = [live[:0]], [np.zeros(0)], [mask[:0]]
+    for lo in range(0, len(live), step):
+        sub, m_sub = live[lo : lo + step], m[lo : lo + step]
+        width = int(m_sub.max())
+        # Coverable device indices of each row, ascending, then padding.
+        cols = np.argsort(~mask[sub], axis=1, kind="stable")[:, :width]
+        th, cov = active_backend().sweep_coverage(
+            np.take_along_axis(bearings[sub], cols, axis=1), m_sub, ctype.half_angle, ANG_TOL
+        )
+        r, t = np.nonzero(_nondominated(cov) & (np.arange(width) < m_sub[:, None]))
+        full = np.zeros((len(r), mask.shape[1]), dtype=bool)
+        full[np.arange(len(r))[:, None], cols[r]] = cov[r, t]
+        rows.append(sub[r])
+        thetas.append(th[r, t])
+        covered.append(full)
+    return np.concatenate(rows), np.concatenate(thetas), np.concatenate(covered)
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,21 @@ class SweptCandidate:
     exact_powers: np.ndarray  # exact power on the covered devices
 
 
+def _first_occurrences(covered: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first record of every distinct key.
+
+    A record's key is its covered set, bit-packed over all devices, plus
+    its approximated powers rounded to 12 places and zeroed off the
+    covered set: the same equality the cross-chunk dedupe applies, as one
+    fixed-width byte string.
+    """
+    rounded = np.where(covered, powers.round(12), 0.0)
+    key = np.concatenate([np.packbits(covered, axis=1), rounded.view(np.uint8)], axis=1)
+    _, first = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True)
+    first.sort()
+    return first
+
+
 def sweep_position_batch(
     evaluator: PowerEvaluator,
     approx,
@@ -123,19 +155,22 @@ def sweep_position_batch(
     positions: np.ndarray,
     *,
     metrics=None,
-) -> tuple[list[SweptCandidate], float]:
+) -> tuple[list[SweptCandidate], int, float]:
     """Candidate extraction at a batch of positions for one charger type.
 
     Runs the orientation-independent coverability tests for the whole batch
     in one broadcast (:meth:`PowerEvaluator.coverable_many`), quantizes the
-    approximated powers for every coverable row at once, then applies the
-    Algorithm-1 rotational sweep per position.  *approx* is an
+    approximated powers for every coverable row at once, applies the
+    Algorithm-1 sweep to the whole batch (:func:`sweep_orientations`) and
+    drops repeated candidates before building any record.  *approx* is an
     :class:`~repro.core.approximation.ApproxPowerCalculator`.
 
-    Returns ``(records, sweep_seconds)`` where *records* lists every swept
-    candidate in position order (duplicates not yet removed — the caller
-    dedupes, so in-process and pooled extraction agree) and *sweep_seconds*
-    is the time spent in the rotational sweeps alone.
+    Returns ``(records, raw, sweep_seconds)``.  *records* lists the swept
+    candidates in position order, keeping only the first of equal ones
+    (same covered set and rounded approximated powers); repeats of an
+    earlier chunk's candidates are left for the caller.  *raw* counts the
+    candidates before that dedupe, and *sweep_seconds* is the time spent in
+    the sweep plus the dedupe.
 
     *metrics*, when given, is a :class:`~repro.obs.MetricsRegistry` fed the
     per-chunk kernel counters (``extraction.chunks``,
@@ -148,33 +183,50 @@ def sweep_position_batch(
         metrics.inc("extraction.chunks")
         metrics.inc("extraction.positions_swept", len(pts))
     if len(pts) == 0:
-        return records, 0.0
+        return records, 0, 0.0
     mask_b, dists_b, bearings_b = evaluator.coverable_many(ctype, pts)
-    rows = np.nonzero(mask_b.any(axis=1))[0]
-    if rows.size == 0:
-        return records, 0.0
+    live = np.nonzero(mask_b.any(axis=1))[0]
+    if live.size == 0:
+        return records, 0, 0.0
     a_vec, b_vec = evaluator.coefficients(ctype)
-    approx_b = approx.approx_powers(ctype, dists_b[rows])  # (rows, No)
-    exact_b = active_backend().power_fill(a_vec, b_vec, dists_b[rows])
-    sweep_seconds = 0.0
-    for r, i in enumerate(rows):
-        t0 = time.perf_counter()
-        point_strats = sweep_orientations(ctype, mask_b[i], bearings_b[i])
-        sweep_seconds += time.perf_counter() - t0
-        if not point_strats:
-            continue
-        pos = (float(pts[i, 0]), float(pts[i, 1]))
-        for ps in point_strats:
-            covered = np.asarray(ps.covered, dtype=int)
-            records.append(
-                SweptCandidate(
-                    pos, ps.orientation, ps.covered, approx_b[r, covered], exact_b[r, covered]
-                )
+    approx_b = approx.approx_powers(ctype, dists_b[live])  # (live, No)
+    exact_b = active_backend().power_fill(a_vec, b_vec, dists_b[live])
+    t0 = time.perf_counter()
+    rows, thetas, covered = sweep_orientations(ctype, mask_b[live], bearings_b[live])
+    first = _first_occurrences(covered, approx_b[rows])
+    sweep_seconds = time.perf_counter() - t0
+    for k in first.tolist():
+        r = int(rows[k])
+        idx = np.flatnonzero(covered[k])
+        i = live[r]
+        records.append(
+            SweptCandidate(
+                (float(pts[i, 0]), float(pts[i, 1])),
+                float(thetas[k]),
+                tuple(idx.tolist()),
+                approx_b[r, idx],
+                exact_b[r, idx],
             )
+        )
     if metrics is not None:
-        metrics.inc("extraction.candidates_raw", len(records))
+        metrics.inc("extraction.candidates_raw", len(rows))
         metrics.observe("extraction.sweep_chunk_seconds", sweep_seconds)
-    return records, sweep_seconds
+    return records, len(rows), sweep_seconds
+
+
+def extract_pdcs_many(
+    evaluator: PowerEvaluator,
+    ctype: ChargerType,
+    positions: np.ndarray,
+) -> list[list[PointStrategy]]:
+    """Algorithm 1 at every row of *positions*: the PDCSs (and witness
+    orientations) of each position, empty where no device is coverable."""
+    mask, _dists, bearings = evaluator.coverable_many(ctype, positions)
+    out: list[list[PointStrategy]] = [[] for _ in range(len(mask))]
+    rows, thetas, covered = sweep_orientations(ctype, mask, bearings)
+    for r, theta, cov in zip(rows.tolist(), thetas.tolist(), covered):
+        out[r].append(PointStrategy(theta, tuple(np.flatnonzero(cov).tolist())))
+    return out
 
 
 def extract_pdcs_at_point(
@@ -182,12 +234,12 @@ def extract_pdcs_at_point(
     ctype: ChargerType,
     position: Sequence[float],
 ) -> list[PointStrategy]:
-    """Algorithm 1: all PDCSs (and witness orientations) at *position*.
+    """Algorithm 1: all PDCSs (and witness orientations) at *position*, the
+    one-row case of :func:`extract_pdcs_many`.
 
     Returns an empty list when no device is coverable from here.
     """
-    mask, _dists, bearings = evaluator.coverable(ctype, position)
-    return sweep_orientations(ctype, mask, bearings)
+    return extract_pdcs_many(evaluator, ctype, np.asarray(position, dtype=float))[0]
 
 
 def strategies_at_point(

@@ -108,20 +108,20 @@ def _sweep_chunk(gen: CandidateGenerator, task: tuple[int, np.ndarray]):
     """One sweep-chunk task: Algorithm 1 at a chunk of positions of the
     charger type with index ``task[0]``.
 
-    Returns ``(records, sweep_seconds, metrics_snapshot)``: the kernel
-    counters go to a task-local registry whose snapshot the caller merges,
-    so in-process and pooled runs report identical counter totals.
+    Returns ``(records, raw, sweep_seconds, metrics_snapshot)``: the
+    kernel counters go to a task-local registry whose snapshot the caller
+    merges, so in-process and pooled runs report identical counter totals.
     """
     q, positions = task
     task_metrics = MetricsRegistry()
-    records, sweep_s = sweep_position_batch(
+    records, raw, sweep_s = sweep_position_batch(
         gen.evaluator,
         gen.approx,
         gen.scenario.charger_types[q],
         positions,
         metrics=task_metrics,
     )
-    return records, sweep_s, task_metrics.snapshot()
+    return records, raw, sweep_s, task_metrics.snapshot()
 
 
 def build_candidate_set(
@@ -180,15 +180,19 @@ def build_candidate_set(
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
     nworkers = max(1, int(workers or 1))
     chunk = DEFAULT_EXTRACTION_CHUNK
-    sweep_s = 0.0  # CPU-seconds inside Algorithm-1 sweeps (worker-side when pooled)
+    sweep_s = 0.0  # CPU-seconds in sweeps + in-chunk dedupe (worker-side when pooled)
     dedupe_s = 0.0  # wall-clock inside absorb()
 
-    def absorb(q: int, records: list[SweptCandidate]) -> None:
-        """Dedupe swept candidates and stash their compact rows (timed).
+    def absorb(q: int, records: list[SweptCandidate], raw: int) -> None:
+        """Drop candidates an earlier chunk already produced and stash the
+        compact rows of the rest (timed).  *raw* is the chunk's candidate
+        count before its in-chunk dedupe, so ``extraction.duplicates``
+        counts both.
 
         The dedupe key is a single bytes object (type index, covered
         indices, rounded approx powers) hashed once on set insertion —
-        unambiguous because the two arrays always have equal length.  Full
+        unambiguous because the two arrays always have equal length; it
+        is the same equality the in-chunk dedupe applies.  Full
         power rows are NOT materialized here; the compact (indices, values)
         pairs are scattered into two preallocated matrices once, after all
         sweeps (cheaper than two fresh full-width zero rows per candidate
@@ -213,7 +217,7 @@ def build_candidate_set(
             kept += 1
         dedupe_s += time.perf_counter() - t0
         mreg.inc("extraction.candidates", kept)
-        mreg.inc("extraction.duplicates", len(records) - kept)
+        mreg.inc("extraction.duplicates", raw - kept)
 
     active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
     pooled = nworkers > 1 and type(gen) is CandidateGenerator and bool(active)
@@ -251,13 +255,13 @@ def build_candidate_set(
                 for lo in range(0, len(pos_map[ct.name]), chunk)
             ]
             check_cancel(cancel)
-            for (q, _), (records, task_sweep_s, snap) in zip(
+            for (q, _), (records, raw, task_sweep_s, snap) in zip(
                 tasks, run_tasks(_sweep_chunk, tasks, gen, pool)
             ):
                 check_cancel(cancel)
                 sweep_s += task_sweep_s
                 mreg.merge(snap)
-                absorb(q, records)
+                absorb(q, records, raw)
             sw_sp.set(
                 sweep_seconds=round(sweep_s, 6),
                 dedupe_seconds=round(dedupe_s, 6),

@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def _close(p: np.ndarray, q: np.ndarray) -> bool:
+    """``np.allclose(p, q)`` for two finite 2-vectors, on Python floats:
+    ``|a - b| <= 1e-8 + 1e-5·|b|`` per coordinate (same decision, without
+    the array call on this hot path)."""
+    px, py = p.tolist()
+    qx, qy = q.tolist()
+    return abs(px - qx) <= 1e-8 + 1e-5 * abs(qx) and abs(py - qy) <= 1e-8 + 1e-5 * abs(qy)
+
+
 def circle_circle_intersections(
     c1: Sequence[float], r1: float, c2: Sequence[float], r2: float
 ) -> list[np.ndarray]:
@@ -102,7 +111,7 @@ def circle_segment_intersections(
     for t in ((-bb - sq) / (2.0 * norm2), (-bb + sq) / (2.0 * norm2)):
         if -EPS <= t <= 1.0 + EPS:
             out.append(np.array([a[0] + t * dx, a[1] + t * dy]))
-    if len(out) == 2 and np.allclose(out[0], out[1]):
+    if len(out) == 2 and _close(out[0], out[1]):
         out.pop()
     return out
 
@@ -126,7 +135,7 @@ def circle_ray_intersections(
     for t in ((-bb - sq) / (2.0 * norm2), (-bb + sq) / (2.0 * norm2)):
         if t >= -EPS:
             out.append(np.array([origin[0] + t * dx, origin[1] + t * dy]))
-    if len(out) == 2 and np.allclose(out[0], out[1]):
+    if len(out) == 2 and _close(out[0], out[1]):
         out.pop()
     return out
 

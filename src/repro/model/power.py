@@ -14,8 +14,7 @@ every obstacle.  Power from multiple chargers is additive (Eq. 2).
 
 :class:`PowerEvaluator` binds a scenario once and exposes vectorized kernels;
 this is the hot path of both the PDCS extraction and the greedy placement, so
-per-device constants are hoisted into flat numpy arrays and line-of-sight
-results are cached per charger position.
+per-device constants are hoisted into flat numpy arrays.
 """
 
 from __future__ import annotations
@@ -114,7 +113,6 @@ class PowerEvaluator:
             b = np.array([table.get(ct, d.dtype).b for d in self.devices], dtype=float)
             self._per_type[ct.name] = (a, b)
         self._types = {ct.name: ct for ct in charger_types}
-        self._los_cache: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def num_devices(self) -> int:
@@ -129,30 +127,10 @@ class PowerEvaluator:
             self._types[ctype.name] = ctype
         return self._per_type[ctype.name]
 
-    def clear_cache(self) -> None:
-        """Drop the line-of-sight cache (e.g. between sweep repetitions)."""
-        self._los_cache.clear()
-
     def los_mask_many(self, positions: np.ndarray) -> np.ndarray:
-        """Line-of-sight masks ``(positions × devices)`` in one broadcast.
-
-        Rows are cached per position: positions already seen are reused,
-        fresh rows are computed with :func:`~repro.geometry.visible_mask_many`
-        and cached for the calls that follow (e.g. exact re-evaluation).
-        """
-        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-        out = np.ones((len(pos), self.num_devices), dtype=bool)
-        if not self.obstacles or len(pos) == 0:
-            return out
-        keys = [(round(float(p[0]), 9), round(float(p[1]), 9)) for p in pos]
-        missing = [i for i, k in enumerate(keys) if k not in self._los_cache]
-        if missing:
-            fresh = visible_mask_many(pos[missing], self.positions, self.obstacles)
-            for row, i in enumerate(missing):
-                self._los_cache[keys[i]] = fresh[row]
-        for i, k in enumerate(keys):
-            out[i] = self._los_cache[k]
-        return out
+        """Line-of-sight masks ``(positions × devices)`` in one broadcast
+        (:func:`~repro.geometry.visible_mask_many`)."""
+        return visible_mask_many(positions, self.positions, self.obstacles)
 
     def coverable(self, ctype: ChargerType, position: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orientation-independent coverability from one *position*: row 0
@@ -194,29 +172,38 @@ class PowerEvaluator:
             mask[rows] &= self.los_mask_many(pos[rows])
         return mask, dists, bearings
 
-    def power_vector(self, strategy: Strategy, *, distances: np.ndarray | None = None) -> np.ndarray:
-        """Exact power delivered by *strategy* to every device (length ``No``)."""
-        mask, dists, bearings = self.coverable(strategy.ctype, strategy.position)
-        if mask.any():
-            diff = np.abs(np.mod(bearings - strategy.orientation + math.pi, TWO_PI) - math.pi)
-            mask = mask & (diff <= strategy.ctype.half_angle + EPS)
-        out = np.zeros(self.num_devices)
-        if mask.any():
-            a, b = self.coefficients(strategy.ctype)
-            d = dists if distances is None else distances
-            out[mask] = active_backend().power_fill(a[mask], b[mask], d[mask])
-        return out
+    def power_vector(self, strategy: Strategy) -> np.ndarray:
+        """Exact power delivered by *strategy* to every device (length ``No``):
+        row 0 of :meth:`power_matrix`."""
+        return self.power_matrix([strategy])[0]
 
     def power_matrix(self, strategies: Sequence[Strategy]) -> np.ndarray:
-        """Exact power matrix ``P[i, j]`` = power of strategy *i* to device *j*."""
+        """Exact power matrix ``P[i, j]`` = power of strategy *i* to device *j*.
+
+        Strategies sharing a type and a position (e.g. the orientations
+        GPAD or RPAD try at one point) share one :meth:`coverable_many` row,
+        so every distinct position gets one line-of-sight pass; only the
+        charger-cone test is per strategy.
+        """
         out = np.zeros((len(strategies), self.num_devices))
+        groups: dict[ChargerType, tuple[dict[tuple[float, float], int], list[int], list[int]]] = {}
         for i, s in enumerate(strategies):
-            out[i] = self.power_vector(s)
+            rows, members, row_of = groups.setdefault(s.ctype, ({}, [], []))
+            key = (float(s.position[0]), float(s.position[1]))
+            members.append(i)
+            row_of.append(rows.setdefault(key, len(rows)))
+        for ct, (rows, members, row_of) in groups.items():
+            mask, dists, bearings = self.coverable_many(ct, np.array(list(rows), dtype=float))
+            r = np.array(row_of)
+            theta = np.array([strategies[i].orientation for i in members], dtype=float)
+            diff = np.abs(np.mod(bearings[r] - theta[:, None] + math.pi, TWO_PI) - math.pi)
+            hit = mask[r] & (diff <= ct.half_angle + EPS)
+            if hit.any():
+                a, b = self.coefficients(ct)
+                k, j = np.nonzero(hit)
+                out[np.array(members)[k], j] = active_backend().power_fill(a[j], b[j], dists[r[k], j])
         return out
 
     def total_power(self, strategies: Sequence[Strategy]) -> np.ndarray:
         """Additive received power per device (Eq. 2)."""
-        total = np.zeros(self.num_devices)
-        for s in strategies:
-            total += self.power_vector(s)
-        return total
+        return self.power_matrix(strategies).sum(axis=0)

@@ -99,9 +99,30 @@ class ChargingUtilityObjective(AdditivePowerObjective):
     def __init__(self, power_matrix: np.ndarray, thresholds: np.ndarray):
         super().__init__(power_matrix, thresholds)
         self.scale = 1.0 / max(1, self.num_devices)
+        self._rows: np.ndarray | None = None  # gains() scratch, reused across calls
 
     def device_utilities(self, powers: np.ndarray) -> np.ndarray:
         return np.minimum(1.0, np.maximum(powers, 0.0) / self.thresholds)
+
+    def gains(self, current_power: np.ndarray, candidate_indices: np.ndarray) -> np.ndarray:
+        """:meth:`AdditivePowerObjective.gains` with the same operations, run
+        in place on one ``(C, devices)`` scratch buffer kept across calls, so
+        a greedy run allocates its candidate rows once rather than a few
+        times per round."""
+        base = self.device_utilities(current_power).sum()
+        idx = np.asarray(candidate_indices, dtype=np.intp)
+        n = self.num_candidates
+        if len(idx) and (idx.max() >= n or idx.min() < -n):
+            raise IndexError(f"candidate index out of range for {n} candidates")
+        if self._rows is None or len(self._rows) < len(idx):
+            self._rows = np.empty((max(len(idx), n), self.num_devices))
+        rows = self._rows[: len(idx)]
+        np.take(self.P, idx, axis=0, out=rows, mode="wrap")  # "raise" would buffer *out*
+        rows += current_power
+        np.maximum(rows, 0.0, out=rows)
+        np.divide(rows, self.thresholds, out=rows)
+        np.minimum(rows, 1.0, out=rows)
+        return (rows.sum(axis=1) - base) * self.scale
 
 
 class ProportionalFairnessObjective(AdditivePowerObjective):

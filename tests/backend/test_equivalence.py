@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from backend_testlib import (  # noqa: F401  (fixtures register on import)
@@ -129,15 +129,33 @@ half_angle = st.sampled_from(
 
 @pytest.mark.parametrize("alt", ALTS, ids=alt_ids())
 @settings(max_examples=150, deadline=None)
-@given(bearings=st.lists(bearing, min_size=1, max_size=12), half=half_angle)
-def test_sweep_coverage_bitwise_equal(numpy_backend, alt, bearings, half):
-    b = np.array(bearings, dtype=float)
-    thetas_e, cov_e = numpy_backend.sweep_coverage(b, half, 1e-9)
-    thetas_g, cov_g = alt.sweep_coverage(b, half, 1e-9)
+@given(
+    rows=st.lists(st.lists(bearing, min_size=1, max_size=12), min_size=1, max_size=4),
+    half=half_angle,
+)
+@example(rows=[[TWO_PI / 64.0]], half=TWO_PI / 8.0)  # one device (M = 1)
+@example(rows=[[0.0, math.pi, TWO_PI / 8.0], [math.pi / 2.0]], half=math.pi / 2.0)  # padded row
+def test_sweep_coverage_bitwise_equal(numpy_backend, alt, rows, half):
+    # Rows of different lengths, padded with a real bearing: the kernels
+    # must ignore padding and leave it 0.0 / False.
+    width = max(len(r) for r in rows)
+    b = np.array([r + [r[0]] * (width - len(r)) for r in rows], dtype=float)
+    m = np.array([len(r) for r in rows])
+    thetas_e, cov_e = numpy_backend.sweep_coverage(b, m, half, 1e-9)
+    thetas_g, cov_g = alt.sweep_coverage(b, m, half, 1e-9)
     assert_bits_equal(thetas_e, np.asarray(thetas_g), "sweep thetas")
     assert_bits_equal(cov_e, np.asarray(cov_g), "sweep coverage")
-    # A device always sits on its own clockwise boundary: diagonal covered.
-    assert bool(np.all(np.diagonal(cov_g)))
+    assert thetas_e.shape == (len(rows), width) and cov_e.shape == (len(rows), width, width)
+    for r, n in enumerate(m):
+        # A device always sits on its own clockwise boundary: diagonal covered.
+        assert bool(np.all(np.diagonal(cov_g[r])[:n]))
+        assert not np.any(thetas_e[r, n:])
+        assert not np.any(cov_e[r, n:]) and not np.any(cov_e[r, :, n:])
+        # A row's result does not depend on the rest of the batch.
+        one_t, one_c = alt.sweep_coverage(b[r : r + 1, :n], m[r : r + 1], half, 1e-9)
+        assert_bits_equal(thetas_e[r : r + 1, :n], np.asarray(one_t), "sweep thetas (one row)")
+        assert_bits_equal(cov_e[r : r + 1, :n, :n], np.asarray(one_c), "sweep coverage (one row)")
+
 
 
 positive = st.integers(min_value=1, max_value=400).map(lambda k: k / 8.0)

@@ -1,16 +1,27 @@
 """Tests for the distributed PDCS extraction (§5)."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import (
     CandidateGenerator,
+    ExtractionWorkerLost,
     assign_tasks,
     measure_task_costs,
     parallel_positions_by_type,
     simulate_distributed_times,
+    solve_hipo,
 )
+from repro.core import placement
+from repro.experiments import random_scenario
 from repro.geometry import dedupe_points
+from repro.io import scenario_to_dict
+from repro.serve import SolveService
 
 from conftest import simple_scenario
 
@@ -109,3 +120,67 @@ def test_cancel_token_stops_measurement():
     # A None token (the default) never fires.
     check_cancel(None)
     check_cancel(threading.Event())
+
+
+# -- a dead extraction worker --------------------------------------------------
+
+#: Sweep tasks started in any process; a fork-shared counter set per test.
+_SWEEPS_STARTED = None
+_REAL_SWEEP_CHUNK = placement._sweep_chunk
+
+
+def _sweep_chunk_dying_on_third(gen, task):
+    """The sweep task, except that the worker running the third one to
+    start SIGKILLs itself."""
+    with _SWEEPS_STARTED.get_lock():
+        _SWEEPS_STARTED.value += 1
+        started = _SWEEPS_STARTED.value
+    if started == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_SWEEP_CHUNK(gen, task)
+
+
+@pytest.fixture
+def dying_sweep(monkeypatch):
+    global _SWEEPS_STARTED
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("fault injection relies on fork-inherited state")
+    _SWEEPS_STARTED = multiprocessing.Value("i", 0)
+    monkeypatch.setattr(placement, "_sweep_chunk", _sweep_chunk_dying_on_third)
+    scene = random_scenario(np.random.default_rng(3), device_multiple=1, charger_multiple=1)
+    yield scene
+    _SWEEPS_STARTED = None
+
+
+def _no_children_left(timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_extraction_worker_lost(dying_sweep):
+    t0 = time.monotonic()
+    with pytest.raises(ExtractionWorkerLost):
+        solve_hipo(dying_sweep, workers=2)
+    assert time.monotonic() - t0 < 10.0
+    assert _SWEEPS_STARTED.value >= 3
+    assert _no_children_left()
+
+
+def test_dead_worker_fails_the_serve_job(dying_sweep):
+    service = SolveService(pool_size=1, queue_size=4).start()
+    try:
+        job, cached = service.submit(
+            {"scenario": scenario_to_dict(dying_sweep), "params": {"workers": 2}}
+        )
+        assert not cached
+        deadline = time.monotonic() + 10.0
+        while job.state not in ("done", "failed", "timeout", "cancelled"):
+            assert time.monotonic() < deadline, job.state
+            time.sleep(0.02)
+    finally:
+        service.shutdown()
+    assert job.state == "failed"
+    assert job.error.startswith("ExtractionWorkerLost"), job.error
+    assert _no_children_left()

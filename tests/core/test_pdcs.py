@@ -5,7 +5,10 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import extract_pdcs_at_point, filter_dominated_sets, strategies_at_point
+from repro.backend import active_backend
+from repro.core import extract_pdcs_at_point, extract_pdcs_many, strategies_at_point
+from repro.core.pdcs import ANG_TOL, sweep_orientations
+from repro.geometry import EPS, TWO_PI
 from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Strategy, pair_power
 
 from conftest import make_table
@@ -22,6 +25,39 @@ def evaluator(device_positions, *, angle=math.pi / 2, dmin=1.0, dmax=6.0, obstac
 
 def covered_set(ev, ct, strategy):
     return frozenset(int(j) for j in np.nonzero(ev.power_vector(strategy))[0])
+
+
+def filter_dominated_sets(items):
+    """Scalar oracle of the dominance filter: keep the entries whose covered
+    set is not a strict subset of another's; equal sets keep the first."""
+    uniq = {}
+    for theta, s in items:
+        if s not in uniq:
+            uniq[s] = theta
+    sets = list(uniq.items())
+    return [
+        (theta, s)
+        for i, (s, theta) in enumerate(sets)
+        if not any(k != i and s < other for k, (other, _) in enumerate(sets))
+    ]
+
+
+def scalar_sweep(ctype, mask, bearings):
+    """Scalar oracle of Algorithm 1 at one position: ``(theta, covered)``
+    pairs, one orientation at a time."""
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return []
+    if ctype.charging_angle >= TWO_PI - EPS:
+        return [(0.0, tuple(int(j) for j in idx))]
+    thetas, coverage = active_backend().sweep_coverage(
+        bearings[idx][None, :], np.array([idx.size]), ctype.half_angle, ANG_TOL
+    )
+    items = [
+        (float(thetas[0, t]), frozenset(int(idx[d]) for d in np.nonzero(coverage[0, t])[0]))
+        for t in range(idx.size)
+    ]
+    return [(theta, tuple(sorted(s))) for theta, s in filter_dominated_sets(items)]
 
 
 def test_filter_dominated_sets():
@@ -128,3 +164,43 @@ def test_strategies_at_point_wrapper():
     assert len(strats) == 1
     assert strats[0].ctype is ct
     assert strats[0].position == (0.0, 0.0)
+
+
+# Bearings on a coarse lattice, so that ties and repeated bearings (devices
+# seen in the same direction) are common.
+lattice_bearing = st.integers(min_value=0, max_value=47).map(lambda k: k * (TWO_PI / 48.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.one_of(lattice_bearing, st.floats(0.0, TWO_PI, exclude_max=True)), max_size=40),
+        min_size=1,
+        max_size=6,
+    ),
+    angle=st.sampled_from([math.pi / 6, math.pi / 3, math.pi / 2, math.pi, 1.5 * math.pi, TWO_PI]),
+    data=st.data(),
+)
+def test_batched_sweep_matches_scalar_oracle(rows, angle, data):
+    """Every row of the batched sweep equals the per-position scalar sweep:
+    same PDCSs, same witness orientations, same order."""
+    ct = ChargerType("ct", angle, 1.0, 6.0)
+    devices = 40
+    mask = np.zeros((len(rows), devices), dtype=bool)
+    bearings = np.zeros((len(rows), devices))
+    for r, row in enumerate(rows):
+        cols = data.draw(st.permutations(range(devices)))[: len(row)]
+        mask[r, cols] = True
+        bearings[r, cols] = row
+    got_rows, got_thetas, got_covered = sweep_orientations(ct, mask, bearings)
+    got = [[] for _ in rows]
+    for r, theta, cov in zip(got_rows.tolist(), got_thetas.tolist(), got_covered):
+        got[r].append((theta, tuple(np.flatnonzero(cov).tolist())))
+    assert got == [scalar_sweep(ct, mask[r], bearings[r]) for r in range(len(rows))]
+
+
+def test_extract_pdcs_many_rows_match_single_points():
+    rng = np.random.default_rng(4)
+    ev, ct = evaluator(rng.uniform(-6, 6, size=(8, 2)), angle=math.pi / 3)
+    points = rng.uniform(-6, 6, size=(25, 2))
+    assert extract_pdcs_many(ev, ct, points) == [extract_pdcs_at_point(ev, ct, p) for p in points]

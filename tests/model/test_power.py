@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import point_segment_distance, rectangle
+from repro.geometry import line_of_sight, point_segment_distance, rectangle
 from repro.model import (
     ChargerType,
     Device,
@@ -125,6 +125,38 @@ def test_power_matrix_shape_and_rows():
     assert np.allclose(P[0], ev.power_vector(strategies[0]))
 
 
+def test_power_matrix_with_shared_positions_matches_scalar_reference():
+    # Strategies of two types revisit a few positions in mixed order; each
+    # (type, position) shares one coverability row inside power_matrix.
+    ct2 = ChargerType("ct2", math.pi, 0.5, 4.0)
+    table = make_table([CT, ct2], [DT_OMNI, DT_NARROW], a=100.0, b=5.0)
+    obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
+    devices = [
+        dev((3.0, 0.0)),
+        dev((0.0, 3.0), orient=-math.pi / 2.0, dtype=DT_NARROW),
+        dev((-2.0, -1.0)),
+        dev((-1.0, 2.0)),
+    ]
+    ev = PowerEvaluator(devices, obs, table, [CT, ct2])
+    rng = np.random.default_rng(11)
+    points = [(0.0, 0.0), (-0.5, 0.5), (2.5, 2.5), (-3.0, 0.0)]
+    strategies = [
+        Strategy(points[rng.integers(len(points))], float(rng.uniform(0, 2 * math.pi)), (CT, ct2)[k % 2])
+        for k in range(40)
+    ]
+    P = ev.power_matrix(strategies)
+    assert P.shape == (40, 4) and (P > 0).any()
+    for i, s in enumerate(strategies):
+        assert ev.power_vector(s).tobytes() == P[i].tobytes()
+        for j, d in enumerate(devices):
+            assert math.isclose(P[i, j], pair_power(s, d, obs, table), rel_tol=1e-9, abs_tol=1e-12)
+    total = np.zeros(4)
+    for row in P:
+        total += row
+    assert ev.total_power(strategies).tobytes() == total.tobytes()
+    assert ev.power_matrix([]).shape == (0, 4)
+
+
 def test_coverable_separates_orientation_independent_conditions():
     devices = [
         dev((3.0, 0.0)),               # in ring
@@ -138,16 +170,17 @@ def test_coverable_separates_orientation_independent_conditions():
     assert abs(bearings[0]) < 1e-9
 
 
-def test_los_cache_consistency():
-    obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
-    devices = [dev((3.0, 0.0)), dev((0.0, 3.0))]
+def test_los_mask_many_matches_line_of_sight():
+    obs = [rectangle(1.0, -0.5, 2.0, 0.5), rectangle(-3.0, 1.0, -2.0, 4.0)]
+    devices = [dev((3.0, 0.0)), dev((0.0, 3.0)), dev((-4.0, 2.5)), dev((1.5, 0.0))]
     ev = PowerEvaluator(devices, obs, TABLE, [CT])
-    m1 = ev.los_mask_many([(0.0, 0.0)])
-    m2 = ev.los_mask_many([(0.0, 0.0)])  # cached path
-    assert np.array_equal(m1, m2)
-    assert m1.tolist() == [[False, True]]
-    ev.clear_cache()
-    assert np.array_equal(ev.los_mask_many([(0.0, 0.0)]), m1)
+    positions = np.random.default_rng(5).uniform(-6.0, 6.0, size=(40, 2))
+    mask = ev.los_mask_many(positions)
+    assert mask.shape == (40, 4)
+    for i, p in enumerate(positions):
+        for j, d in enumerate(devices):
+            assert mask[i, j] == line_of_sight(p, d.position, obs), (i, j)
+    assert ev.los_mask_many([(0.0, 0.0)])[0, :2].tolist() == [False, True]
 
 
 def test_coefficients_for_unregistered_type():
@@ -168,7 +201,6 @@ def test_coverable_many_matches_serial():
     positions = rng.uniform(-6.0, 6.0, size=(29, 2))
     mask_b, dists_b, bearings_b = ev.coverable_many(CT, positions)
     assert mask_b.shape == dists_b.shape == bearings_b.shape == (29, 3)
-    ev.clear_cache()
     for i, p in enumerate(positions):
         mask, dists, bearings = ev.coverable(CT, p)
         assert np.array_equal(mask_b[i], mask)
@@ -176,13 +208,12 @@ def test_coverable_many_matches_serial():
         assert np.allclose(bearings_b[i], bearings)
 
 
-def test_los_mask_many_populates_cache():
+def test_los_mask_many_rows_match_single_positions():
+    # Every row is computed for its own position, near-coincident ones too.
     obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
-    ev = PowerEvaluator([dev((3.0, 0.0)), dev((0.0, 3.0))], obs, TABLE, [CT])
-    positions = np.array([[0.0, 0.0], [0.0, -1.0]])
+    ev = PowerEvaluator([dev((3.0, 0.0)), dev((0.0, 3.0)), dev((3.0, 0.5))], obs, TABLE, [CT])
+    positions = np.array([[0.0, 0.0], [0.0, -1.0], [0.0, 4.9e-10], [0.0, 0.5]])
     batch = ev.los_mask_many(positions)
-    assert len(ev._los_cache) == 2
-    # Cached per-position rows agree with the batch result.
     for i, p in enumerate(positions):
         assert np.array_equal(batch[i], ev.los_mask_many(p[None])[0])
-    assert batch[0].tolist() == [False, True]
+    assert batch[0].tolist() == [False, True, False]

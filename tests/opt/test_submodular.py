@@ -90,6 +90,22 @@ def test_gains_matches_value_difference():
         assert np.isclose(g, f.value(subset + [int(e)]) - f.value(subset))
 
 
+def test_in_place_gains_equal_the_broadcast():
+    from repro.opt.submodular import AdditivePowerObjective
+
+    rng = np.random.default_rng(4)
+    P, th = random_instance(rng, n=12)
+    f = ChargingUtilityObjective(P, th)
+    current = P[[0, 5]].sum(axis=0)
+    # the scratch buffer is reused across calls of different pool sizes
+    for pool in (np.arange(12), np.array([3, 1, -1]), np.array([], dtype=int), np.array([7])):
+        want = AdditivePowerObjective.gains(f, current, pool)
+        assert f.gains(current, pool).tobytes() == want.tobytes()
+    for bad in (np.array([0, 12]), np.array([-13])):
+        with pytest.raises(IndexError):
+            f.gains(current, bad)
+
+
 def test_greedy_respects_partition_budgets():
     rng = np.random.default_rng(3)
     P, th = random_instance(rng, n=9)
