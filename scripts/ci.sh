@@ -21,6 +21,9 @@
 # entry points (benchmarks/, examples/), then the strict-typing gate
 # (scripts/typecheck.sh).
 #
+# After tier-1 the intersection-kernel property tests and the extraction
+# digests re-run under the Hypothesis "ci" profile (more examples).
+#
 # The serve stress test (tests/serve/test_stress.py) is the runtime check
 # of the leaf-lock design; after tier-1 it runs ten more times in a row.
 #
@@ -58,6 +61,13 @@ sh scripts/typecheck.sh
 # numba is importable (skipped silently otherwise), together with the
 # candidate-set digest fixture.
 REPRO_BACKEND=numpy python -m pytest -x -q
+
+# The batch intersection kernels must equal their scalar oracles bit for
+# bit, and positions and candidate sets their recorded digests: re-run
+# both modules under the Hypothesis "ci" profile (more examples; see
+# tests/conftest.py).  Tier-1 above keeps the default example counts.
+HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
+    tests/core/test_extraction_digest.py -x -q
 
 for i in 1 2 3 4 5 6 7 8 9 10; do
     python -m pytest tests/serve/test_stress.py -q

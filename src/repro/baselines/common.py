@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..geometry import PolygonSet
 from ..model.entities import Strategy
 from ..model.network import Scenario
 from ..opt.matroid import PartitionMatroid
@@ -61,8 +62,5 @@ def free_grid_points(scenario: Scenario, points: np.ndarray) -> np.ndarray:
     ok = (
         (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
     )
-    for h in scenario.obstacles:
-        if not ok.any():
-            break
-        ok &= ~h.contains_many(pts, include_boundary=False)
+    ok[ok] = ~PolygonSet(scenario.obstacles).interior_mask(pts[ok])
     return pts[ok]

@@ -18,37 +18,50 @@ dominate (or tie) every strategy in the continuous plane.
 Following §5 the generation is organized as independent per-device *tasks*
 over neighbour sets of radius ``2·dmax``, which both bounds the pairwise work
 and gives the unit of distribution for :mod:`repro.core.distributed`.
+
+Each task is computed in one numpy pass over all its pairs: the pairs'
+curves are padded into ``(pairs, curves)`` arrays (NaN padding, which every
+intersection kernel reports as invalid) and intersected by the broadcast
+kernels of :mod:`repro.geometry`.  The output equals the per-curve scalar
+loop point for point and in the same order (DESIGN.md §6 item 10).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..geometry import (
     EPS,
-    circle_circle_intersections,
-    circle_segment_intersections,
+    PolygonSet,
+    circle_circle_points,
+    circle_segment_points,
     dedupe_points,
     distance,
     inscribed_angle_arc_centers,
-    polar_offset,
-    segment_intersection,
+    segment_points,
     shadow_rays,
 )
 from ..model.network import Scenario
 from ..model.types import ChargerType
 from .approximation import ApproxPowerCalculator, epsilon1_for
+from .cancel import check_cancel
 
-__all__ = ["BoundaryCurves", "CandidateGenerator"]
+__all__ = ["BoundaryCurves", "CandidateGenerator", "POSITION_ELEMENT_BUDGET"]
 
 #: Bearing offsets (as fractions of the receiving half-angle) at which the
 #: point-case fallback samples each level circle inside the receiving cone —
 #: the deterministic replacement for Algorithm 2's "select a point on the
 #: boundary randomly".
 _CONE_SAMPLE_FRACTIONS = (-0.999, -0.5, 0.0, 0.5, 0.999)
+
+#: Bound on the candidate slots (pairs × intersection slots per pair) one
+#: batched pass of :meth:`CandidateGenerator.positions_for_task`
+#: materializes; a task with more pairs runs in consecutive slices.
+POSITION_ELEMENT_BUDGET = 1 << 14
 
 
 @dataclass
@@ -61,6 +74,31 @@ class BoundaryCurves:
     def extend(self, other: "BoundaryCurves") -> None:
         self.circles.extend(other.circles)
         self.segments.extend(other.segments)
+
+
+class _CurveArrays(NamedTuple):
+    """One device's :class:`BoundaryCurves` as arrays, plus its cone samples."""
+
+    center: np.ndarray  # (2,)
+    radii: np.ndarray  # (C,) level-circle radii
+    starts: np.ndarray  # (S, 2) cone-edge and hole-ray segments
+    ends: np.ndarray  # (S, 2)
+    samples: np.ndarray  # (C, 5, 2) cone samples on each level circle
+
+
+def _padded(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack arrays of unequal length into ``(len(rows), longest, ...)``,
+    padding with NaN."""
+    out = np.full((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:], np.nan)
+    for k, r in enumerate(rows):
+        out[k, : len(r)] = r
+    return out
+
+
+def _flat(pts: np.ndarray, ok: np.ndarray, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reshape kernel slots to ``(lead, slots, 2)`` points and ``(lead, slots)``
+    validity, keeping their C order (the scalar loop's emission order)."""
+    return pts.reshape(lead, -1, 2), ok.reshape(lead, -1)
 
 
 class CandidateGenerator:
@@ -88,9 +126,11 @@ class CandidateGenerator:
         self.approx = ApproxPowerCalculator(self.evaluator, scenario.charger_types, self.eps1)
         self.max_positions = max_positions
         self._device_curves: dict[tuple[str, int], BoundaryCurves] = {}
-        self._obstacle_segments: list[tuple[np.ndarray, np.ndarray]] = [
-            (a, b) for h in scenario.obstacles for a, b in h.edges()
-        ]
+        self._arrays: dict[tuple[str, int], _CurveArrays] = {}
+        self._obstacles = PolygonSet(scenario.obstacles)
+        edges = [e for h in scenario.obstacles for e in h.edges()]
+        self._obstacle_starts = np.array([a for a, _ in edges], dtype=float).reshape(-1, 2)
+        self._obstacle_ends = np.array([b for _, b in edges], dtype=float).reshape(-1, 2)
 
     # -- boundary curves ---------------------------------------------------
 
@@ -112,6 +152,34 @@ class CandidateGenerator:
         self._device_curves[key] = curves
         return curves
 
+    def _device_arrays(self, ctype: ChargerType, i: int) -> _CurveArrays:
+        """:meth:`device_curves` of device *i* as arrays (cached), with the
+        cone samples of each level circle."""
+        key = (ctype.name, i)
+        cached = self._arrays.get(key)
+        if cached is not None:
+            return cached
+        curves = self.device_curves(ctype, i)
+        dev = self.scenario.devices[i]
+        center = np.asarray(dev.position, dtype=float)
+        radii = np.array([r for _, r in curves.circles], dtype=float)
+        # polar_offset's arithmetic: the angles on math, the products per circle.
+        thetas = [dev.orientation + frac * dev.dtype.half_angle for frac in _CONE_SAMPLE_FRACTIONS]
+        cos = np.array([math.cos(t) for t in thetas])
+        sin = np.array([math.sin(t) for t in thetas])
+        samples = np.stack(
+            [center[0] + radii[:, None] * cos, center[1] + radii[:, None] * sin], axis=-1
+        )
+        arrays = _CurveArrays(
+            center,
+            radii,
+            np.array([a for a, _ in curves.segments], dtype=float).reshape(-1, 2),
+            np.array([b for _, b in curves.segments], dtype=float).reshape(-1, 2),
+            samples,
+        )
+        self._arrays[key] = arrays
+        return arrays
+
     # -- neighbourhood structure (Algorithm 4) -------------------------------
 
     def neighbor_indices(self, ctype: ChargerType, i: int) -> np.ndarray:
@@ -125,82 +193,138 @@ class CandidateGenerator:
 
     # -- per-device (point-case) candidates ----------------------------------
 
-    def positions_for_device(self, ctype: ChargerType, i: int) -> list[np.ndarray]:
-        """Candidates from device *i* alone: its boundary curves intersected
-        with each other, with obstacle edges, and deterministic samples on
-        each level circle inside the receiving cone (Algorithm 2, step 8 and
-        Algorithm 4, step 10)."""
-        dev = self.scenario.devices[i]
-        center = np.asarray(dev.position, dtype=float)
-        curves = self.device_curves(ctype, i)
-        pts: list[np.ndarray] = []
-        segments = curves.segments + self._obstacle_segments
-        for c, r in curves.circles:
-            for a, b in segments:
-                pts.extend(circle_segment_intersections(c, r, a, b))
-            half = dev.dtype.half_angle
-            for frac in _CONE_SAMPLE_FRACTIONS:
-                pts.append(polar_offset(center, dev.orientation + frac * half, r))
-        return pts
+    def _device_points(self, ctype: ChargerType, i: int) -> np.ndarray:
+        """Candidates from device *i* alone (Algorithm 2, step 8 and
+        Algorithm 4, step 10), per level circle: its intersections with the
+        device's segments and the obstacle edges, then its cone samples."""
+        ca = self._device_arrays(ctype, i)
+        starts = np.concatenate([ca.starts, self._obstacle_starts])
+        ends = np.concatenate([ca.ends, self._obstacle_ends])
+        hits, ok = circle_segment_points(
+            ca.center[0], ca.center[1], ca.radii[:, None],
+            starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
+        )
+        pts, ok = _flat(hits, ok, len(ca.radii))
+        pts = np.concatenate([pts, ca.samples], axis=1)
+        ok = np.concatenate([ok, np.ones(ca.samples.shape[:2], dtype=bool)], axis=1)
+        return pts[ok]
 
     # -- per-pair candidates (Algorithm 2 steps 1-7 / Algorithm 4 steps 2-9) --
 
-    def positions_for_pair(self, ctype: ChargerType, i: int, j: int) -> list[np.ndarray]:
-        """Candidates targeting joint coverage of devices *i* and *j*."""
-        oi = np.asarray(self.scenario.devices[i].position, dtype=float)
-        oj = np.asarray(self.scenario.devices[j].position, dtype=float)
-        dij = distance(oi, oj)
-        dmax = ctype.dmax
-        if dij < EPS or dij > 2.0 * dmax + EPS:
-            return []
-        curves = BoundaryCurves()
-        curves.extend(self.device_curves(ctype, i))
-        curves.extend(self.device_curves(ctype, j))
-        segments = curves.segments + self._obstacle_segments
-        pts: list[np.ndarray] = []
+    def _pair_points(self, ctype: ChargerType, i: int, js: list[int]) -> np.ndarray:
+        """Candidates targeting joint coverage of device *i* with each of
+        *js*, pair by pair in the order of *js*, as one batched pass.
 
-        # Locus 1: the straight line through the pair, clipped to the reach of
-        # the farther device (a charger farther than dmax from either cannot
-        # cover both).
-        u = (oj - oi) / dij
+        Per pair the curves are *i*'s level circles then *j*'s, and *i*'s
+        segments, then *j*'s, then the obstacle edges.  Each pair emits, in
+        order: the pair line against the circles, then against the
+        segments; each inscribed-angle arc against the circles, then the
+        segments; then *i*'s circles against *j*'s.
+        """
+        dmax = ctype.dmax
+        ci = self._device_arrays(ctype, i)
+        oi = ci.center
+        # Pair-level scalars stay on math: math.hypot and np.hypot disagree
+        # in the last bit on ~0.6 % of inputs.
+        pairs = [(cj, distance(oi, cj.center)) for cj in (self._device_arrays(ctype, j) for j in js)]
+        pairs = [(cj, dij) for cj, dij in pairs if EPS <= dij <= 2.0 * dmax + EPS]
+        if not pairs:
+            return np.zeros((0, 2))
+        npairs = len(pairs)
+        oj = np.array([cj.center for cj, _ in pairs])
+        dij = np.array([d for _, d in pairs])
+
+        def shared(a: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(a, (npairs,) + a.shape)
+
+        rj = _padded([cj.radii for cj, _ in pairs])
+        nci, ncj = len(ci.radii), rj.shape[1]
+        radii = np.concatenate([shared(ci.radii), rj], axis=1)
+        centers = np.concatenate(
+            [shared(np.broadcast_to(oi, (nci, 2))), np.broadcast_to(oj[:, None], (npairs, ncj, 2))],
+            axis=1,
+        )
+        cx, cy = centers[..., 0], centers[..., 1]
+        starts = np.concatenate(
+            [shared(ci.starts), _padded([cj.starts for cj, _ in pairs]), shared(self._obstacle_starts)],
+            axis=1,
+        )
+        ends = np.concatenate(
+            [shared(ci.ends), _padded([cj.ends for cj, _ in pairs]), shared(self._obstacle_ends)],
+            axis=1,
+        )
+        sx, sy, ex, ey = starts[..., 0], starts[..., 1], ends[..., 0], ends[..., 1]
+
+        blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        # Locus 1: the straight line through the pair, clipped to the reach
+        # of the farther device (a charger farther than dmax from either
+        # cannot cover both).
+        u = (oj - oi) / dij[:, None]
         a_end = oi - dmax * u
         b_end = oj + dmax * u
-        for c, r in curves.circles:
-            pts.extend(circle_segment_intersections(c, r, a_end, b_end))
-        for a, b in segments:
-            p = segment_intersection(a_end, b_end, a, b)
-            if p is not None:
-                pts.append(p)
+        ax, ay, bx, by = a_end[:, :1], a_end[:, 1:], b_end[:, :1], b_end[:, 1:]
+        blocks.append(_flat(*circle_segment_points(cx, cy, radii, ax, ay, bx, by), npairs))
+        blocks.append(_flat(*segment_points(ax, ay, bx, by, sx, sy, ex, ey), npairs))
 
         # Locus 2: inscribed-angle arcs — points where the pair subtends the
         # charging aperture αs (degenerate for αs >= pi: the locus collapses
         # onto the segment between the devices, already on locus 1).
         if ctype.charging_angle < math.pi - EPS:
-            centers, radius = inscribed_angle_arc_centers(oi, oj, ctype.charging_angle)
-            for ac in centers:
-                for c, r in curves.circles:
-                    pts.extend(circle_circle_intersections(ac, radius, c, r))
-                for a, b in segments:
-                    pts.extend(circle_segment_intersections(ac, radius, a, b))
+            arc = np.full((npairs, 2, 2), np.nan)  # (pair, arc, xy)
+            arc_r = np.full(npairs, np.nan)
+            arc_d = np.full((npairs, 2, 2), np.nan)  # (pair, arc, device i / j)
+            for p, (cj, _) in enumerate(pairs):
+                centers, arc_r[p] = inscribed_angle_arc_centers(oi, cj.center, ctype.charging_angle)
+                for k, ac in enumerate(centers):
+                    arc[p, k] = ac
+                    arc_d[p, k] = distance(ac, oi), distance(ac, cj.center)
+            d = np.concatenate(
+                [np.repeat(arc_d[:, :, :1], nci, axis=2), np.repeat(arc_d[:, :, 1:], ncj, axis=2)],
+                axis=2,
+            )
+            acx, acy, ar = arc[:, :, 0, None], arc[:, :, 1, None], arc_r[:, None, None]
+            on_circles = circle_circle_points(
+                acx, acy, ar, cx[:, None], cy[:, None], radii[:, None], d
+            )
+            on_segments = circle_segment_points(
+                acx, acy, ar, sx[:, None], sy[:, None], ex[:, None], ey[:, None]
+            )
+            # Per arc: its circle hits, then its segment hits.
+            pts = np.concatenate(
+                [on_circles[0].reshape(npairs, 2, -1, 2), on_segments[0].reshape(npairs, 2, -1, 2)],
+                axis=2,
+            )
+            ok = np.concatenate(
+                [on_circles[1].reshape(npairs, 2, -1), on_segments[1].reshape(npairs, 2, -1)], axis=2
+            )
+            blocks.append(_flat(pts, ok, npairs))
 
         # Step 9: intersections of the two devices' approximated receiving
         # boundaries with each other (circle x circle across the pair).
-        ci = self.device_curves(ctype, i).circles
-        cj = self.device_curves(ctype, j).circles
-        for c1, r1 in ci:
-            for c2, r2 in cj:
-                pts.extend(circle_circle_intersections(c1, r1, c2, r2))
+        blocks.append(
+            _flat(
+                *circle_circle_points(
+                    oi[0], oi[1], ci.radii[None, :, None],
+                    oj[:, 0, None, None], oj[:, 1, None, None], rj[:, None, :],
+                    dij[:, None, None],
+                ),
+                npairs,
+            )
+        )
 
-        # Only positions that can reach both devices matter for this pair —
-        # one numpy mask over the whole point list (bbox test, then radii).
-        if not pts:
-            return []
-        arr = np.asarray(pts, dtype=float)
+        pts = np.concatenate([b[0] for b in blocks], axis=1)
+        keep = np.concatenate([b[1] for b in blocks], axis=1)
+        # Only positions that can reach both devices matter for this pair.
         bound = dmax + EPS
-        keep = (np.abs(arr - oi) <= bound).all(axis=1)
-        keep &= np.hypot(arr[:, 0] - oi[0], arr[:, 1] - oi[1]) <= bound
-        keep &= np.hypot(arr[:, 0] - oj[0], arr[:, 1] - oj[1]) <= bound
-        return list(arr[keep])
+        with np.errstate(invalid="ignore"):
+            keep &= (np.abs(pts - oi) <= bound).all(axis=2)
+            keep &= np.hypot(pts[..., 0] - oi[0], pts[..., 1] - oi[1]) <= bound
+            keep &= np.hypot(pts[..., 0] - oj[:, :1], pts[..., 1] - oj[:, 1:]) <= bound
+        return pts[keep]
+
+    def positions_for_pair(self, ctype: ChargerType, i: int, j: int) -> list[np.ndarray]:
+        """Candidates targeting joint coverage of devices *i* and *j*."""
+        return list(self._pair_points(ctype, i, [j]))
 
     # -- per-task and per-type aggregation ------------------------------------
 
@@ -208,19 +332,26 @@ class CandidateGenerator:
         """Algorithm 4: all candidates of the task owned by device *i* —
         its point-case candidates plus pair candidates with every neighbour
         of larger index (avoiding duplicate pair work across tasks)."""
-        pts = self.positions_for_device(ctype, i)
-        for j in self.neighbor_indices(ctype, i):
-            if j > i:
-                pts.extend(self.positions_for_pair(ctype, i, int(j)))
-        if not pts:
+        js = [int(j) for j in self.neighbor_indices(ctype, i) if j > i]
+        chunks = [self._device_points(ctype, i)]
+        step = max(1, POSITION_ELEMENT_BUDGET // max(1, self._pair_slots(ctype, i, js)))
+        for lo in range(0, len(js), step):
+            chunks.append(self._pair_points(ctype, i, js[lo : lo + step]))
+        pts = np.concatenate(chunks)
+        if not len(pts):
             return np.zeros((0, 2))
-        return self._feasible(np.asarray(pts, dtype=float))
+        return self._feasible(pts)
 
-    def positions(self, ctype: ChargerType) -> np.ndarray:
-        """All candidate positions for *ctype*, deduplicated and feasible."""
-        return self.gather(
-            [self.positions_for_task(ctype, i) for i in range(self.scenario.num_devices)]
-        )
+    def positions(self, ctype: ChargerType, *, cancel=None) -> np.ndarray:
+        """All candidate positions for *ctype*, deduplicated and feasible.
+
+        The *cancel* token (see :mod:`repro.core.cancel`) is polled before
+        each per-device task."""
+        chunks = []
+        for i in range(self.scenario.num_devices):
+            check_cancel(cancel)
+            chunks.append(self.positions_for_task(ctype, i))
+        return self.gather(chunks)
 
     def gather(self, chunks: list[np.ndarray]) -> np.ndarray:
         """Merge per-task candidate chunks (in device order) into one
@@ -242,6 +373,19 @@ class CandidateGenerator:
 
     # -- helpers ---------------------------------------------------------------
 
+    def _pair_slots(self, ctype: ChargerType, i: int, js: list[int]) -> int:
+        """Upper bound on the intersection slots one pair of task *i* fills
+        in :meth:`_pair_points` (2 per curve pair with circles, 1 per
+        line × segment)."""
+        if not js:
+            return 0
+        ci = self._device_arrays(ctype, i)
+        cjs = [self._device_arrays(ctype, j) for j in js]
+        nci = len(ci.radii)
+        circles = nci + max(len(c.radii) for c in cjs)
+        segments = len(ci.starts) + max(len(c.starts) for c in cjs) + len(self._obstacle_starts)
+        return 2 * circles + segments + 2 * (2 * circles + 2 * segments) + 2 * nci * (circles - nci)
+
     def _feasible(self, pts: np.ndarray) -> np.ndarray:
         """Dedupe and keep only points inside the region and outside obstacles."""
         pts = dedupe_points(pts)
@@ -254,8 +398,5 @@ class CandidateGenerator:
             & (pts[:, 1] >= ymin - EPS)
             & (pts[:, 1] <= ymax + EPS)
         )
-        for h in self.scenario.obstacles:
-            if not ok.any():
-                break
-            ok &= ~h.contains_many(pts, include_boundary=False)
+        ok[ok] = ~self._obstacles.interior_mask(pts[ok])
         return pts[ok]

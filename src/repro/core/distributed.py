@@ -39,6 +39,7 @@ from ..backend import activate_backend
 from ..model.network import Scenario
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..opt.scheduling import Schedule, lpt_schedule
+from .cancel import SolveCancelled, check_cancel
 from .candidates import CandidateGenerator
 
 __all__ = [
@@ -57,18 +58,6 @@ __all__ = [
 ]
 
 
-class SolveCancelled(RuntimeError):
-    """A cooperative cancellation fired mid-solve.
-
-    The extraction pipeline polls a caller-supplied *cancel* token (anything
-    with an ``is_set() -> bool``, e.g. a ``threading.Event``) between
-    per-device tasks and between sweep chunks.  Long solves therefore stop
-    within one task of the token being set — this is how ``repro.serve``
-    implements job cancellation and per-job timeouts without killing worker
-    processes.
-    """
-
-
 class ExtractionWorkerLost(RuntimeError):
     """A process of an :func:`extraction_pool` died mid-extraction (killed,
     out of memory, crashed interpreter).
@@ -76,16 +65,6 @@ class ExtractionWorkerLost(RuntimeError):
     The pool is broken at that point and its remaining workers are shut
     down; the solve fails with this error instead of retrying.
     """
-
-
-def check_cancel(cancel) -> None:
-    """Raise :class:`SolveCancelled` when the *cancel* token is set.
-
-    ``None`` (the default everywhere) is a no-op, so the hook costs one
-    attribute check on the hot paths that poll it.
-    """
-    if cancel is not None and cancel.is_set():
-        raise SolveCancelled("solve cancelled by caller")
 
 
 def position_task(gen: CandidateGenerator, i: int) -> dict[str, np.ndarray]:

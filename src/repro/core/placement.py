@@ -238,10 +238,7 @@ def build_candidate_set(
             elif pool is not None:
                 pos_map = positions_from_tasks(gen, pool, cancel=cancel)
             else:
-                pos_map = {}
-                for q, ct in active:
-                    check_cancel(cancel)
-                    pos_map[ct.name] = gen.positions(ct)
+                pos_map = {ct.name: gen.positions(ct, cancel=cancel) for q, ct in active}
             for q, ct in active:
                 positions_per_type[ct.name] = len(pos_map[ct.name])
                 mreg.inc("extraction.positions", len(pos_map[ct.name]))

@@ -7,15 +7,13 @@ receiving areas), line-of-sight / hole computations, and grid generators.
 
 from .circles import (
     circle_circle_intersections,
-    circle_line_intersections,
-    circle_ray_intersections,
+    circle_circle_points,
     circle_segment_intersections,
+    circle_segment_points,
     inscribed_angle_arc_centers,
-    inscribed_angle_arc_points,
-    point_subtends_angle,
 )
 from .grid import grid_length_for_radius, square_grid, triangular_grid
-from .polygon import Polygon, convex_hull, rectangle, regular_polygon
+from .polygon import Polygon, PolygonSet, convex_hull, rectangle, regular_polygon
 from .primitives import (
     EPS,
     TWO_PI,
@@ -36,14 +34,11 @@ from .primitives import (
 )
 from .sector import SectorRing
 from .segments import (
-    line_intersection,
-    line_segment_intersection,
+    on_segment_mask,
     point_on_segment,
     point_segment_distance,
-    ray_segment_intersection,
     segment_intersection,
-    segment_segment_distance,
-    segments_intersect,
+    segment_points,
     segments_properly_intersect,
 )
 from .visibility import (
@@ -57,14 +52,15 @@ __all__ = [
     "EPS",
     "TWO_PI",
     "Polygon",
+    "PolygonSet",
     "SectorRing",
     "angle_of",
     "angle_within",
     "angles_of",
     "circle_circle_intersections",
-    "circle_line_intersections",
-    "circle_ray_intersections",
+    "circle_circle_points",
     "circle_segment_intersections",
+    "circle_segment_points",
     "convex_hull",
     "cross2",
     "dedupe_points",
@@ -73,24 +69,19 @@ __all__ = [
     "dot2",
     "grid_length_for_radius",
     "inscribed_angle_arc_centers",
-    "inscribed_angle_arc_points",
     "is_close_point",
-    "line_intersection",
     "line_of_sight",
-    "line_segment_intersection",
     "normalize_angle",
     "obstacle_boundary_segments",
+    "on_segment_mask",
     "point_on_segment",
     "point_segment_distance",
-    "point_subtends_angle",
     "polar_offset",
-    "ray_segment_intersection",
     "rectangle",
     "regular_polygon",
     "rotate",
     "segment_intersection",
-    "segment_segment_distance",
-    "segments_intersect",
+    "segment_points",
     "segments_properly_intersect",
     "shadow_rays",
     "signed_angle_diff",

@@ -15,9 +15,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .primitives import EPS, cross2
-from .segments import point_on_segment, point_segment_distance, segments_properly_intersect
+from .segments import on_segment_mask, point_segment_distance, segments_properly_intersect
 
-__all__ = ["Polygon", "convex_hull", "regular_polygon", "rectangle"]
+__all__ = ["Polygon", "PolygonSet", "convex_hull", "regular_polygon", "rectangle"]
+
+#: Bound on the (point, edge) slots one :meth:`PolygonSet.interior_mask`
+#: pass materializes; larger inputs are processed in slices of this size.
+INTERIOR_ELEMENT_BUDGET = 1 << 16
 
 
 class Polygon:
@@ -122,40 +126,27 @@ class Polygon:
     def contains_many(self, points: np.ndarray, *, include_boundary: bool = True) -> np.ndarray:
         """Vectorized :meth:`contains` over an ``(n, 2)`` array.
 
-        Boundary handling falls back to the scalar path only for points whose
-        crossing parity is ambiguous, so the common case is one numpy pass.
+        Only points inside the bounding box ± ``EPS`` are tested (outside
+        it the crossing count is even and no edge is within tolerance);
+        those get the crossing parity and the boundary test in one pass.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            return np.zeros(0, dtype=bool)
-        x, y = pts[:, 0], pts[:, 1]
-        verts = self._vertices
-        xi, yi = verts[:, 0], verts[:, 1]
-        xj, yj = np.roll(xi, 1), np.roll(yi, 1)
-        # (points, edges) crossing test
-        cond = (yi[None, :] > y[:, None]) != (yj[None, :] > y[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = (xj - xi)[None, :] * (y[:, None] - yi[None, :]) / (yj - yi)[None, :] + xi[None, :]
-        crossing = cond & (x[:, None] < x_cross)
-        inside = crossing.sum(axis=1) % 2 == 1
-        # boundary refinement
-        near = (
-            (x >= self._bbox[0] - EPS)
-            & (x <= self._bbox[2] + EPS)
-            & (y >= self._bbox[1] - EPS)
-            & (y <= self._bbox[3] + EPS)
-        )
-        for k in np.nonzero(near)[0]:
-            if self.on_boundary(pts[k]):
-                inside[k] = include_boundary
-        return inside
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        out = np.zeros(len(pts), dtype=bool)
+        idx = np.nonzero(_in_boxes(pts, np.array([self._bbox])))[0]
+        if idx.size:
+            starts, ends, _ = self.edge_arrays()
+            odd, on = _parity_and_boundary(pts[idx], starts[None], ends[None])
+            out[idx] = np.where(on, include_boundary, odd)
+        return out
 
-    def on_boundary(self, p: Sequence[float], *, tol: float = 1e-9) -> bool:
+    def on_boundary(self, p: Sequence[float], *, tol: float = EPS) -> bool:
         """Whether *p* lies on the polygon boundary."""
-        for a, b in self.edges():
-            if point_on_segment(p, a, b, tol=tol):
-                return True
-        return False
+        starts, ends, _ = self.edge_arrays()
+        return bool(
+            on_segment_mask(
+                float(p[0]), float(p[1]), starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1], tol=tol
+            ).any()
+        )
 
     def blocks_segment(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether segment ``ab`` is blocked by this obstacle.
@@ -205,6 +196,81 @@ class Polygon:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polygon({len(self._vertices)} vertices, area={self._area:.3g})"
+
+
+class PolygonSet:
+    """Several polygons as one padded edge table, for one-pass point tests.
+
+    Edge ``k`` of polygon ``h`` sits in row ``h``; shorter edge loops are
+    padded with NaN coordinates, which fail every comparison and so
+    neither cross nor touch any point.
+    """
+
+    __slots__ = ("polygons", "_bbox", "_starts", "_ends")
+
+    def __init__(self, polygons: Iterable[Polygon]) -> None:
+        self.polygons = tuple(polygons)
+        width = max((h.num_edges for h in self.polygons), default=0)
+        self._bbox = np.array([h.bbox for h in self.polygons], dtype=float).reshape(-1, 4)
+        self._starts = np.full((len(self.polygons), width, 2), np.nan)
+        self._ends = np.full((len(self.polygons), width, 2), np.nan)
+        for k, h in enumerate(self.polygons):
+            starts, ends, _ = h.edge_arrays()
+            self._starts[k, : len(starts)] = starts
+            self._ends[k, : len(ends)] = ends
+
+    def interior_mask(self, points: np.ndarray) -> np.ndarray:
+        """Whether each of the ``(n, 2)`` *points* lies strictly inside some
+        polygon (boundary points are outside), equal to OR-ing
+        ``contains_many(points, include_boundary=False)`` over the polygons.
+
+        Only (point, polygon) pairs inside that polygon's bounding box
+        ± ``EPS`` are tested; outside it the crossing count is even and no
+        edge is within tolerance, so skipping them is exact.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        out = np.zeros(len(pts), dtype=bool)
+        if not self.polygons or not len(pts):
+            return out
+        pi, hi = np.nonzero(_in_boxes(pts, self._bbox))
+        step = max(1, INTERIOR_ELEMENT_BUDGET // self._starts.shape[1])
+        for lo in range(0, len(pi), step):
+            p, h = pi[lo : lo + step], hi[lo : lo + step]
+            odd, on = _parity_and_boundary(pts[p], self._starts[h], self._ends[h])
+            out[p[odd & ~on]] = True
+        return out
+
+
+def _in_boxes(pts: np.ndarray, bbox: np.ndarray) -> np.ndarray:
+    """``(n, H)`` mask: point inside bounding box ``(xmin, ymin, xmax, ymax)``
+    ± ``EPS``, for each of the ``(H, 4)`` boxes."""
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    return (
+        (x >= bbox[:, 0] - EPS)
+        & (x <= bbox[:, 2] + EPS)
+        & (y >= bbox[:, 1] - EPS)
+        & (y <= bbox[:, 3] + EPS)
+    )
+
+
+def _parity_and_boundary(
+    pts: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Even-odd crossing parity and on-boundary flag of each of the ``(K, 2)``
+    points against its row of ``(K or 1, E, 2)`` edges.
+
+    The crossing test is :meth:`Polygon.contains`'s, expression for
+    expression (vertex ``i`` is the edge's end, ``j`` its start); the
+    boundary test is :func:`on_segment_mask` at tolerance ``EPS``.
+    """
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    xj, yj = starts[..., 0], starts[..., 1]
+    xi, yi = ends[..., 0], ends[..., 1]
+    with np.errstate(all="ignore"):
+        x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+        crossing = ((yi > y) != (yj > y)) & (x < x_cross)
+    on = on_segment_mask(x, y, xj, yj, xi, yi).any(axis=1)
+    return crossing.sum(axis=1) % 2 == 1, on
 
 
 def _boundary_parameters(poly: Polygon, a: Sequence[float], b: Sequence[float]) -> list[float]:

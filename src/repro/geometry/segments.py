@@ -1,10 +1,14 @@
-"""Segment, ray and line intersection routines.
+"""Segment intersection and point-on-segment routines.
 
 All routines treat inputs as numpy-compatible ``(x, y)`` pairs and return
 plain numpy arrays.  Degenerate (collinear / parallel) configurations return
-``None`` or empty lists rather than raising; callers in the PDCS extraction
-only ever need *candidate* points, so dropping measure-zero degeneracies is
-harmless for the algorithm's guarantees.
+``None`` or an invalid slot rather than raising; callers in the PDCS
+extraction only ever need *candidate* points, so dropping measure-zero
+degeneracies is harmless for the algorithm's guarantees.
+
+:func:`segment_points` and :func:`on_segment_mask` are broadcast kernels;
+:func:`segment_intersection` and :func:`point_on_segment` are one-row calls
+of them.
 """
 
 from __future__ import annotations
@@ -16,30 +20,91 @@ import numpy as np
 from .primitives import EPS, cross2
 
 __all__ = [
-    "segment_intersection",
-    "segments_intersect",
-    "segments_properly_intersect",
-    "line_intersection",
-    "line_segment_intersection",
-    "ray_segment_intersection",
+    "on_segment_mask",
     "point_on_segment",
     "point_segment_distance",
-    "segment_segment_distance",
+    "segment_intersection",
+    "segment_points",
+    "segments_properly_intersect",
 ]
+
+ArrayLike = np.ndarray | float
+
+
+def on_segment_mask(
+    px: ArrayLike,
+    py: ArrayLike,
+    ax: ArrayLike,
+    ay: ArrayLike,
+    bx: ArrayLike,
+    by: ArrayLike,
+    *,
+    tol: float = EPS,
+) -> np.ndarray:
+    """Whether points ``(px, py)`` lie on closed segments ``(ax, ay)–(bx, by)``
+    within *tol*, broadcast over all arguments."""
+    abx = np.subtract(bx, ax)
+    aby = np.subtract(by, ay)
+    apx = np.subtract(px, ax)
+    apy = np.subtract(py, ay)
+    # Both checks compare quantities linear in |ab| × displacement, so both
+    # scale tol by the segment size; a raw tol on the dot product would
+    # shrink the effective positional slack to tol/|ab| near the endpoints.
+    scaled = tol * np.maximum(1.0, np.abs(abx) + np.abs(aby))
+    t = apx * abx + apy * aby
+    return (
+        (np.abs(abx * apy - aby * apx) <= scaled)
+        & (-scaled <= t)
+        & (t <= abx * abx + aby * aby + scaled)
+    )
 
 
 def point_on_segment(p: Sequence[float], a: Sequence[float], b: Sequence[float], *, tol: float = EPS) -> bool:
     """Whether *p* lies on the closed segment ``ab`` (within *tol*)."""
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    # Both checks compare quantities linear in |ab| × displacement, so both
-    # scale tol by the segment size; a raw tol on the dot product would
-    # shrink the effective positional slack to tol/|ab| near the endpoints.
-    scaled = tol * max(1.0, abs(ab[0]) + abs(ab[1]))
-    if abs(cross2(ab, ap)) > scaled:
-        return False
-    t = ap[0] * ab[0] + ap[1] * ab[1]
-    return -scaled <= t <= ab[0] * ab[0] + ab[1] * ab[1] + scaled
+    return bool(
+        on_segment_mask(
+            float(p[0]), float(p[1]), float(a[0]), float(a[1]), float(b[0]), float(b[1]), tol=tol
+        )
+    )
+
+
+def segment_points(
+    ax: ArrayLike,
+    ay: ArrayLike,
+    bx: ArrayLike,
+    by: ArrayLike,
+    cx: ArrayLike,
+    cy: ArrayLike,
+    dx: ArrayLike,
+    dy: ArrayLike,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection points of closed segments ``a–b`` and ``c–d``, broadcast
+    over all arguments.
+
+    Returns ``(points, valid)`` of shapes ``(..., 2)`` and ``(...)``.  A slot
+    is valid when the segments are not parallel (``|r × s| >= EPS``) and
+    both parameters lie in ``[-EPS, 1 + EPS]``; collinear overlap is a
+    measure-zero case the candidate extraction does not need a point for.
+    """
+    with np.errstate(all="ignore"):
+        rx = np.subtract(bx, ax)
+        ry = np.subtract(by, ay)
+        sx = np.subtract(dx, cx)
+        sy = np.subtract(dy, cy)
+        denom = rx * sy - ry * sx
+        acx = np.subtract(cx, ax)
+        acy = np.subtract(cy, ay)
+        t = (acx * sy - acy * sx) / denom
+        u = (acx * ry - acy * rx) / denom
+        valid = (
+            (np.abs(denom) >= EPS)
+            & (-EPS <= t)
+            & (t <= 1.0 + EPS)
+            & (-EPS <= u)
+            & (u <= 1.0 + EPS)
+        )
+        pts = np.stack([ax + t * rx, ay + t * ry], axis=-1)
+    return pts, valid
 
 
 def segment_intersection(
@@ -47,47 +112,13 @@ def segment_intersection(
 ) -> np.ndarray | None:
     """Intersection point of closed segments ``ab`` and ``cd``.
 
-    Returns ``None`` when they do not intersect or are parallel/collinear
-    (overlapping collinear segments are a measure-zero case the candidate
-    extraction does not need an interior point for).
+    Returns ``None`` when they do not intersect or are parallel/collinear.
     """
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = cross2(r, s)
-    if abs(denom) < EPS:
-        return None
-    ac = (c[0] - a[0], c[1] - a[1])
-    t = cross2(ac, s) / denom
-    u = cross2(ac, r) / denom
-    if -EPS <= t <= 1.0 + EPS and -EPS <= u <= 1.0 + EPS:
-        return np.array([a[0] + t * r[0], a[1] + t * r[1]])
-    return None
-
-
-def segments_intersect(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> bool:
-    """Whether closed segments ``ab`` and ``cd`` share at least one point.
-
-    Unlike :func:`segment_intersection`, collinear overlap is detected.
-    """
-    d1 = cross2((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
-    d2 = cross2((b[0] - a[0], b[1] - a[1]), (d[0] - a[0], d[1] - a[1]))
-    d3 = cross2((d[0] - c[0], d[1] - c[1]), (a[0] - c[0], a[1] - c[1]))
-    d4 = cross2((d[0] - c[0], d[1] - c[1]), (b[0] - c[0], b[1] - c[1]))
-    if ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)) and (
-        (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS)
-    ):
-        return True
-    if abs(d1) <= EPS and point_on_segment(c, a, b):
-        return True
-    if abs(d2) <= EPS and point_on_segment(d, a, b):
-        return True
-    if abs(d3) <= EPS and point_on_segment(a, c, d):
-        return True
-    if abs(d4) <= EPS and point_on_segment(b, c, d):
-        return True
-    return False
+    pts, ok = segment_points(
+        float(a[0]), float(a[1]), float(b[0]), float(b[1]),
+        float(c[0]), float(c[1]), float(d[0]), float(d[1]),
+    )
+    return pts if ok else None
 
 
 def segments_properly_intersect(
@@ -103,53 +134,6 @@ def segments_properly_intersect(
     )
 
 
-def line_intersection(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> np.ndarray | None:
-    """Intersection of the infinite lines through ``ab`` and ``cd``."""
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = cross2(r, s)
-    if abs(denom) < EPS:
-        return None
-    ac = (c[0] - a[0], c[1] - a[1])
-    t = cross2(ac, s) / denom
-    return np.array([a[0] + t * r[0], a[1] + t * r[1]])
-
-
-def line_segment_intersection(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> np.ndarray | None:
-    """Intersection of the infinite line through ``ab`` with segment ``cd``."""
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = cross2(r, s)
-    if abs(denom) < EPS:
-        return None
-    ac = (c[0] - a[0], c[1] - a[1])
-    u = cross2(ac, r) / denom
-    if -EPS <= u <= 1.0 + EPS:
-        return np.array([c[0] + u * s[0], c[1] + u * s[1]])
-    return None
-
-
-def ray_segment_intersection(
-    origin: Sequence[float], direction: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> np.ndarray | None:
-    """Intersection of the ray ``origin + t*direction (t >= 0)`` with segment ``cd``."""
-    r = (direction[0], direction[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = cross2(r, s)
-    if abs(denom) < EPS:
-        return None
-    ac = (c[0] - origin[0], c[1] - origin[1])
-    t = cross2(ac, s) / denom
-    u = cross2(ac, r) / denom
-    if t >= -EPS and -EPS <= u <= 1.0 + EPS:
-        return np.array([origin[0] + t * r[0], origin[1] + t * r[1]])
-    return None
-
-
 def point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
     """Distance from point *p* to closed segment ``ab``."""
     ab = (b[0] - a[0], b[1] - a[1])
@@ -161,17 +145,3 @@ def point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[f
     dx = p[0] - (a[0] + t * ab[0])
     dy = p[1] - (a[1] + t * ab[1])
     return float(np.hypot(dx, dy))
-
-
-def segment_segment_distance(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> float:
-    """Distance between closed segments ``ab`` and ``cd`` (0 if they intersect)."""
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )

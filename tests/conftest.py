@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.geometry import Polygon, rectangle
 from repro.model import (
@@ -16,6 +18,12 @@ from repro.model import (
     PairCoefficients,
     Scenario,
 )
+
+#: ``HYPOTHESIS_PROFILE=ci`` runs property tests with more examples and no
+#: per-example deadline (scripts/ci.sh re-runs the kernel-equivalence and
+#: digest modules under it); the default profile is Hypothesis' own.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

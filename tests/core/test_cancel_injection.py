@@ -4,10 +4,10 @@ The token's ``is_set()`` turns true on its k-th call and records which span
 was open at each poll.  k is chosen so the token trips at the parent's
 first poll between sweep-chunk results: after one poll per position task,
 one before the sweep loop and one after the first chunk.  If any hop
-(``solve_hipo`` -> ``build_candidate_set`` -> ``positions_from_tasks`` /
-the sweep loop, or the serve pool's runner) stops forwarding ``cancel``,
-the recorded poll sequence changes or the solve finishes, and the tests
-fail.
+(``solve_hipo`` -> ``build_candidate_set`` -> ``CandidateGenerator.positions``
+/ ``positions_from_tasks`` / the sweep loop, or the serve pool's runner)
+stops forwarding ``cancel``, the recorded poll sequence changes or the
+solve finishes, and the tests fail.
 """
 
 import time
@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import SolveCancelled, solve_hipo
+from repro.core import CandidateGenerator, SolveCancelled, solve_hipo
 from repro.experiments import small_scenario
 from repro.io import scenario_to_dict
 from repro.obs import Tracer
@@ -44,11 +44,12 @@ def _scenario():
 
 
 def _position_polls(scenario, workers: int) -> int:
-    """Polls before the sweeps: one per device task when pooled, else one
-    per active charger type."""
+    """Polls before the sweeps: one per device task when pooled (a task
+    covers every type), else one per (active charger type, device) task."""
     if workers > 1:
         return scenario.num_devices
-    return sum(1 for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
+    active = sum(1 for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
+    return active * scenario.num_devices
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -62,6 +63,30 @@ def test_solve_raises_when_token_trips_inside_sweeps(workers):
     assert token.spans == ["positions"] * polls + ["sweeps", "sweeps"]
     assert tracer.find("sweeps").status == "error"
     assert tracer.find("selection") is None
+
+
+def test_serial_solve_stops_between_position_tasks(monkeypatch):
+    """In-process, the token is polled before each per-device task inside
+    ``CandidateGenerator.positions``: a token tripping on its second poll
+    stops the solve after one task, before the ``sweeps`` span opens."""
+    scenario = _scenario()
+    tasks = []
+    run_task = CandidateGenerator.positions_for_task
+
+    def counted(self, ctype, i):
+        tasks.append((ctype.name, i))
+        return run_task(self, ctype, i)
+
+    monkeypatch.setattr(CandidateGenerator, "positions_for_task", counted)
+    tracer = Tracer()
+    token = TripOnCall(2, tracer)
+    with pytest.raises(SolveCancelled):
+        solve_hipo(scenario, workers=1, tracer=tracer, cancel=token)
+    first = next(ct for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
+    assert tasks == [(first.name, 0)]
+    assert token.spans == ["positions", "positions"]
+    assert tracer.find("positions").status == "error"
+    assert tracer.find("sweeps") is None
 
 
 def test_pool_job_ends_cancelled_when_token_trips_inside_sweeps():

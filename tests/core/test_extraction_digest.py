@@ -1,15 +1,18 @@
-"""Candidate-set digests: extraction output pinned byte for byte.
+"""Candidate-set and position digests: extraction output pinned byte for byte.
 
 Each scene's candidate set (strategies, approximated and exact power
 matrices, matroid parts) is hashed, together with the extraction
 counters, and compared with a digest recorded before the Algorithm-1
-sweep was batched.  Any change to candidate order, orientations, covered
-sets or power values fails here, under every backend and worker count the
-scene runs with.
+sweep was batched.  Each scene's candidate positions per charger type are
+hashed too, against digests recorded before the Algorithm-2/4 position
+generation was batched.  Any change to position or candidate order,
+orientations, covered sets or power values fails here, under every
+backend and worker count the scene runs with.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -17,11 +20,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import ApproxPowerCalculator, build_candidate_set, sweep_position_batch
+from repro.core import (
+    ApproxPowerCalculator,
+    CandidateGenerator,
+    build_candidate_set,
+    parallel_positions_by_type,
+    sweep_position_batch,
+)
 from repro.experiments import random_scenario
 from repro.experiments.generators import cluttered_scenario
-from repro.geometry import TWO_PI
-from repro.model import ChargerType, Device, DeviceType, PowerEvaluator
+from repro.experiments.scenarios import (
+    default_charger_types,
+    default_coefficients,
+    default_device_types,
+)
+from repro.geometry import TWO_PI, Polygon, rectangle
+from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Scenario
 from repro.obs import MetricsRegistry
 
 from conftest import make_table
@@ -46,6 +60,22 @@ def _with_angles(scenario, angles):
     return scenario.with_charger_types(types, scenario.budgets)
 
 
+def _moved(scenario, moves):
+    """*scenario* with device ``k`` moved to ``xy`` for each ``k: xy`` of *moves*."""
+    devices = list(scenario.devices)
+    for k, xy in moves.items():
+        devices[k] = dataclasses.replace(devices[k], position=xy)
+    return scenario.with_devices(devices)
+
+
+def _boundary_base():
+    """A 10-device scene over the default box (10..18 × 22..28) and
+    triangle ((24, 8), (32, 10), (27, 16)) obstacles."""
+    return random_scenario(
+        np.random.default_rng([BENCH_SEED, 11]), device_multiple=1, charger_multiple=1
+    )
+
+
 SCENES = {
     "cold-40": lambda: random_scenario(
         np.random.default_rng(BENCH_SEED), device_multiple=4, charger_multiple=3
@@ -68,13 +98,30 @@ SCENES = {
     "open-10": lambda: random_scenario(
         np.random.default_rng([BENCH_SEED, 7]), device_multiple=1, charger_multiple=1, obstacles=[]
     ),
+    # Boundary scenes: devices exactly on obstacle edges and on a vertex,
+    # coincident devices (a pair with dij < EPS), and obstacles touching
+    # the arena boundary along an edge and at a corner.
+    "edge-device-10": lambda: _moved(
+        _boundary_base(), {2: (14.0, 28.0), 3: (10.0, 25.0), 8: (28.0, 9.0), 9: (18.0, 22.0)}
+    ),
+    "coincident-10": lambda: _moved(
+        _boundary_base(),
+        {5: _boundary_base().devices[0].position, 6: _boundary_base().devices[4].position},
+    ),
+    "arena-touch-10": lambda: random_scenario(
+        np.random.default_rng([BENCH_SEED, 12]),
+        device_multiple=1,
+        charger_multiple=1,
+        obstacles=[rectangle(0.0, 15.0, 6.0, 22.0), Polygon([(40.0, 40.0), (32.0, 40.0), (40.0, 30.0)])],
+    ),
 }
 
 SMALL = ("serve-10", "omni-10", "wide-15", "open-10")
 
 COUNTERS = ("extraction.positions", "extraction.candidates_raw", "extraction.candidates")
 
-#: Recorded before the sweep was batched: (sha256, positions, raw, kept).
+#: (sha256, positions, raw, kept), recorded before the sweep was batched;
+#: the three boundary scenes were recorded before positions were batched.
 EXPECTED: dict[str, tuple[str, int, int, int]] = {
     "cold-40": (
         "b77d682f1d7db8407c8907cfdf5a974c25a88cd6b4b146e701b9b163fe15c161",
@@ -99,6 +146,68 @@ EXPECTED: dict[str, tuple[str, int, int, int]] = {
     "open-10": (
         "566f6d78dc914392f559c058149fd2c5e1fc012c660e507e00d7dc11c3826a88",
         980, 810, 36,
+    ),
+    "edge-device-10": (
+        "bd82b4122da42c0d5ebf8fa606156281f29a0da94786a88dc850b6c67a404ad1",
+        910, 517, 32,
+    ),
+    "coincident-10": (
+        "c72ab681999e1c6cedff66479bd0a8d84890f0cac38bbb85c6f58072c83f220c",
+        720, 528, 39,
+    ),
+    "arena-touch-10": (
+        "ec204e9ff3267b47444d6d50fabb34700c27e41f131017872a7aede28dc6842a",
+        995, 899, 39,
+    ),
+}
+
+#: sha256 of ``CandidateGenerator.positions(ct)`` per charger type, in
+#: scenario order, recorded before position generation was batched.
+POSITIONS: dict[str, tuple[str, ...]] = {
+    "arena-touch-10": (
+        "a9e0ab766aad3655ac16971d6cbb9cb417cfbba9c0b0c29cde25bbb05766e1c0",
+        "6fe0541520636f6953d3f07ac8e95bc0d2aa827e69ab742e1fc9f043ccad2a26",
+        "e2084c8aac14c749d51b1882df12647f8e38881aae680343625648361bcaf229",
+    ),
+    "clutter-14": (
+        "3b7dd0d83ada440db08998cd687fae52de8d62af33c0d1a4285f73692fbd4b7f",
+        "0d58625e1fa7783649ea62c111801b405b8e5b0d19aa266be9db828a784eb8b4",
+        "b83d1e154b2a105dee6381170de35049f20ae2b2c096ade699da9e1407cd7e12",
+    ),
+    "coincident-10": (
+        "ff3618f525768f2ea8b9e35432b50f55a7661fcb3c31352e4df1acbdea2c3926",
+        "707ba485ce746b38a221f6a779e9a3279bcfd8590eb6aa4ee55839e12879c341",
+        "9c764557bbd2931a5e746d584e44c1798e755d19490b26248c03c535607aa14b",
+    ),
+    "cold-40": (
+        "aa490d1d419649493c1b6731e6ce03e80c497a59f30c9d9b0a674c43013ecec9",
+        "064ae96bc41e4b12eec519c739533a110cc54e75efd043d5f39ff9b58aec697a",
+        "0041719d66da7213744fcb34dcb2ebf6a512cf394e74ce4408e1042b0a4989f8",
+    ),
+    "edge-device-10": (
+        "78804ffd8bb45e7f4448d3161a4646999d4d8fde03d0063cc8d06e484908a34a",
+        "d1b2690904cc57ed9484d5e4d61cf3a25b57f399054752b89844cb3abad18924",
+        "4dde78c41053231fb089dbaed9c883407a611d5177f479de0b65493766e7c959",
+    ),
+    "omni-10": (
+        "29076378234865b8e3e19dcf0af515cd799beb8049d69eff04b05933a6e139b1",
+        "59a11c5c42830997fc7b6927769eb3e98cc8279605377298d0cb0e1188cd16e4",
+        "3b53a9fa11d51eff79731c8d7539771e0f801d2402cb31cdcd880dd19d01ea8f",
+    ),
+    "open-10": (
+        "5def5a7694f1b42ed04f273dcb6b489a4a5ef1e2d6f89184dc5a0571f8ed92bd",
+        "c70b4fe87c164122c22c26d0d1416004d5da1fa07a4aa883007c2d480004d818",
+        "c1ce522e86d068e5c452abd52bcedfc678d1cddefc40e13c8e5905f9c490dffe",
+    ),
+    "serve-10": (
+        "74ea30fdfdf22fd777b9e7862c0c5a8149db54023dd9d6b676773d43a1caafd1",
+        "b956b061608bb036162550b971e3f51a8623f5134d029ab178f4530c31abe112",
+        "513e96135b5acca847d3e461c091051cf6efa504d49f400868998c5a8393c56b",
+    ),
+    "wide-15": (
+        "f257bc8fd23af1b2ae7363942a1bc9be9b094947222e563d6114ced20519f944",
+        "670be655117d0d592f6a92f6f3111d50d04c4cd5c97e63f73d759db37be746d3",
+        "f4d20a77c9d385f9088a01ba46994adcdfd2906c56f248ed521523e92f4822ed",
     ),
 }
 
@@ -136,6 +245,67 @@ def test_candidate_set_digest_pyloop(name):
 
 def test_candidate_set_digest_pooled():
     assert extraction_fingerprint("cold-40", workers=2) == EXPECTED["cold-40"]
+
+
+def _sha(points: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(points).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_positions_digest(name):
+    scenario = SCENES[name]()
+    gen = CandidateGenerator(scenario)
+    assert tuple(_sha(gen.positions(ct)) for ct in scenario.charger_types) == POSITIONS[name]
+
+
+@pytest.mark.parametrize("name", ["clutter-14", "edge-device-10"])
+def test_positions_digest_pooled(name):
+    scenario = SCENES[name]()
+    by_type = parallel_positions_by_type(scenario, workers=2)
+    assert tuple(_sha(by_type[ct.name]) for ct in scenario.charger_types) == POSITIONS[name]
+
+
+def _dense_obstacle_scene() -> Scenario:
+    """40 devices on a 1.5 m grid, all within each other's ``2·dmax``, with
+    a small square obstacle in each of 40 grid cells between them."""
+    dtypes = default_device_types()
+    devices = [
+        Device((16.0 + 1.5 * (k % 8), 16.0 + 1.5 * (k // 8)), 0.7 * k, dtypes[k % 4], 0.05)
+        for k in range(40)
+    ]
+    obstacles = [
+        rectangle(16.6 + 1.5 * a, 16.6 + 1.5 * b, 16.9 + 1.5 * a, 16.9 + 1.5 * b)
+        for a in range(8)
+        for b in range(5)
+    ]
+    return Scenario(
+        bounds=(0.0, 0.0, 40.0, 40.0),
+        devices=tuple(devices),
+        obstacles=tuple(obstacles),
+        charger_types=tuple(default_charger_types()),
+        budgets={ct.name: 1 for ct in default_charger_types()},
+        table=default_coefficients(),
+    )
+
+
+def test_position_task_memory_is_bounded():
+    """One task of a 40-obstacle scene pairing its device with 39
+    neighbours keeps the batched intermediates under 4 MB: pairs are
+    sliced by ``POSITION_ELEMENT_BUDGET`` rather than all padded at once."""
+    scenario = _dense_obstacle_scene()
+    gen = CandidateGenerator(scenario)
+    ct = scenario.charger_types[0]
+    assert len(gen.neighbor_indices(ct, 0)) == 39
+    for j in range(40):  # curves built outside the measured window
+        gen.device_curves(ct, j)
+    tracemalloc.start()
+    try:
+        pts = gen.positions_for_task(ct, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) > 0
+    assert peak < 4 * 1024 * 1024, peak
 
 
 def test_sweep_chunk_memory_is_bounded():

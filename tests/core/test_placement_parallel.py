@@ -113,8 +113,8 @@ def test_custom_generator_parallel_matches_serial(max_positions):
 class _EveryOtherPositionGenerator(CandidateGenerator):
     """A subclass the pool cannot reproduce (overridden position logic)."""
 
-    def positions(self, ctype):
-        return super().positions(ctype)[::2]
+    def positions(self, ctype, **kwargs):
+        return super().positions(ctype, **kwargs)[::2]
 
 
 def test_subclassed_generator_falls_back_in_process():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import Polygon, convex_hull, rectangle, regular_polygon
 
@@ -61,6 +61,8 @@ def test_contains_nonconvex():
 
 @settings(max_examples=50)
 @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=30), coords, coords)
+@example(pts=[(10.0, 0.0), (-3.5, -10.0), (10.0 + 1e-10, 5.0)], x=0.0, y=10.0)  # on edges
+@example(pts=[(-10.0, -10.0), (10.0, 10.0)], x=10.0, y=-10.0)  # on vertices
 def test_contains_many_matches_scalar(pts, x, y):
     poly = rectangle(-10.0, -10.0, 10.0, 10.0)
     arr = np.array(pts + [(x, y)])
