@@ -25,7 +25,9 @@
 # digests re-run under the Hypothesis "ci" profile (more examples).
 #
 # The serve stress test (tests/serve/test_stress.py) is the runtime check
-# of the leaf-lock design; after tier-1 it runs ten more times in a row.
+# of the leaf-lock design; after tier-1 it runs ten more times in a row,
+# together with the solver-process fault tests (tests/serve/test_solvers.py:
+# a killed solver process, cancel and timeout of running cold solves).
 #
 # The differential smoke (repro.variation, docs/variation.md) generates
 # a bounded corpus of seeded scenarios across every registered family
@@ -70,9 +72,9 @@ HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.
     tests/core/test_extraction_digest.py -x -q
 
 for i in 1 2 3 4 5 6 7 8 9 10; do
-    python -m pytest tests/serve/test_stress.py -q
+    python -m pytest tests/serve/test_stress.py tests/serve/test_solvers.py -q
 done
-echo "serve stress test ok (10 runs)"
+echo "serve stress and solver-process fault tests ok (10 runs)"
 
 if python -c "import numba" 2>/dev/null; then
     echo "numba importable: repeating backend equivalence and candidate-set digests on the compiled backend"

@@ -6,7 +6,8 @@
 # candidate tier (same geometry under different budgets answers immediately
 # with cache_tier=candidates), check /v1/metrics reflects both tiers'
 # hit/miss counts, then shut down cleanly via SIGTERM and assert the
-# graceful-exit message.
+# graceful-exit message and that none of the server's solver processes
+# outlives it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,6 +43,7 @@ curl -sf "$BASE/v1/healthz" | python -c "
 import json, sys
 doc = json.load(sys.stdin)
 assert doc['status'] == 'ok', doc
+assert doc['workers_alive'] == 2, doc
 print('serve healthz ok (workers=%d)' % doc['workers_alive'])
 "
 
@@ -112,8 +114,18 @@ print('serve metrics ok (hits=%d misses=%d candidate_hits=%d)'
       % (doc['cache']['hits'], doc['cache']['misses'], c['cache.candidates.hits']))
 "
 
+CHILDREN=$(pgrep -P "$SERVE_PID" || true)
+[ "$(echo "$CHILDREN" | wc -w)" -eq 2 ] || { echo "expected 2 solver processes, got: $CHILDREN"; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
 grep -q "repro serve stopped" "$SERVE_DIR/serve.log"
-echo "serve shutdown clean"
+for pid in $CHILDREN; do
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "solver process $pid outlived the server"; exit 1
+    fi
+done
+if grep -q "Traceback" "$SERVE_DIR/serve.log"; then
+    echo "traceback in the server log"; cat "$SERVE_DIR/serve.log"; exit 1
+fi
+echo "serve shutdown clean (no solver process left)"

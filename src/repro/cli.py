@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-size",
         type=_positive_int,
         default=2,
-        help="solver worker threads executing queued jobs",
+        help="solver slots: one pool thread and one forked solver process each",
     )
     serve.add_argument(
         "--queue-size",

@@ -92,6 +92,11 @@ def extraction_cache_key(
     ``tests/backend`` equivalence suite), so a candidate set extracted on
     one backend is a valid warm-start for any other — folding the backend
     in would only fragment the cache.
+
+    The key is memoized on the scenario instance, per ``eps``, generator
+    parameters and set of active charger types (the one input a caller
+    can still change in place, through the ``budgets`` dict), so a
+    request that probes the cache and then solves canonicalizes once.
     """
     params: dict[str, Any] = {"max_positions": None}
     if generator is not None:
@@ -100,7 +105,14 @@ def extraction_cache_key(
         if type(generator) is not CandidateGenerator:
             cls = type(generator)
             params["generator"] = f"{cls.__module__}.{cls.__qualname__}"
-    return canonical_extraction_hash(scenario, eps=eps, params=params)
+    active = tuple(sorted(name for name, n in scenario.budgets.items() if int(n) > 0))
+    memo = (eps, tuple(sorted(params.items())), active)
+    key = scenario._extraction_keys.get(memo)
+    if key is None:
+        key = scenario._extraction_keys[memo] = canonical_extraction_hash(
+            scenario, eps=eps, params=params
+        )
+    return key
 
 
 def serialize_candidate_set(candidates: "CandidateSet") -> bytes:
@@ -268,6 +280,16 @@ class CandidateSetCache(BytesLRU):
         """Whether *key* would hit (memory, or a valid file in the
         persistence directory) — the serve layer's candidate-tier probe."""
         return super().__contains__(key)
+
+    def probe_or_miss(self, key: str) -> bool:
+        """Whether a solve's lookup of *key* would hit, for a caller that
+        solves the misses without this cache (the serve layer's solver
+        processes): a miss is counted here, as the lookup that solve would
+        have made, and a hit is left to the solve's own lookup to count."""
+        if super().__contains__(key):
+            return True
+        self.metrics.inc(f"{self.prefix}.misses")
+        return False
 
 
 #: Ambient default cache consulted by ``solve_hipo`` when no explicit

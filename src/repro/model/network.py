@@ -10,7 +10,7 @@ sweep in §6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class Scenario:
     budgets: dict[str, int]
     table: CoefficientTable
     _evaluator_cache: list[PowerEvaluator] = field(default_factory=list, compare=False, repr=False)
+    #: Memo of :func:`repro.core.reuse.extraction_cache_key`.  Not an init
+    #: field, so every ``replace`` starts with an empty one.
+    _extraction_keys: dict[Any, str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         xmin, ymin, xmax, ymax = self.bounds

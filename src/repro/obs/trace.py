@@ -53,7 +53,7 @@ import json
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -154,6 +154,39 @@ class Tracer:
     def current(self) -> Span | None:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
+
+    @property
+    def epoch(self) -> float:
+        """The ``time.perf_counter()`` reading that ``start_s`` counts from."""
+        return self._epoch
+
+    def graft(self, spans: Iterable[Span], epoch: float) -> None:
+        """Adopt the finished *spans* of another tracer whose epoch was
+        *epoch*, under the current span.
+
+        Spans get fresh ids of this tracer and start times re-based onto
+        its epoch; their roots become children of the current span.  This
+        is how a solve traced in another process joins its job's trace:
+        ``perf_counter`` is the system-wide monotonic clock on Linux, so
+        epochs taken in different processes compare directly.
+        """
+        spans = sorted(spans, key=lambda sp: sp.start_s)  # ids in creation order
+        ids: dict[str | None, str] = {}
+        for sp in spans:
+            self._counter += 1
+            ids[sp.span_id] = f"s{self._counter}"
+        root = self.current.span_id if self._stack else None
+        shift = epoch - self._epoch
+        for sp in spans:
+            self.spans.append(
+                replace(
+                    sp,
+                    trace_id=self.trace_id,
+                    span_id=ids[sp.span_id],
+                    parent_id=ids.get(sp.parent_id, root),
+                    start_s=sp.start_s + shift,
+                )
+            )
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:

@@ -2,13 +2,14 @@
 
 Turns the library into a long-running service: HTTP requests become jobs in
 a bounded priority queue, a thread pool executes them with
-:func:`~repro.core.solve_hipo` (cooperatively cancellable, per-job traced),
+:func:`~repro.core.solve_hipo` (cooperatively cancellable, per-job traced;
+cold solves run in forked solver processes, :mod:`repro.serve.solvers`),
 and results are memoized in a content-addressed LRU cache keyed by
 :func:`repro.io.canonical_scenario_hash`.  Start it with
 ``repro serve --port 8080`` or embed :class:`SolveService` directly.
 
-Stdlib-only: ``http.server`` + ``threading`` + ``queue`` semantics on top of
-the existing process-pool machinery — no new runtime dependencies.
+Stdlib-only: ``http.server`` + ``threading`` + ``multiprocessing`` — no new
+runtime dependencies.
 """
 
 from .api import BadRequest, SolveService, create_server, run_server

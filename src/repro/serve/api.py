@@ -10,6 +10,10 @@ Two layers:
 * :func:`create_server` — a stdlib ``ThreadingHTTPServer`` exposing the
   service as a small JSON API.
 
+Queued cold solves run in the forked solver processes of
+:class:`~repro.serve.solvers.SolverProcesses`, one per pool slot; the
+server process keeps every cache, the queue and the metrics.
+
 Endpoints (all JSON)::
 
     POST   /v1/solve      submit a scenario; 200 on cache hit (result
@@ -18,7 +22,8 @@ Endpoints (all JSON)::
     GET    /v1/jobs/<id>  job status; carries result when state == "done"
                           and the per-job repro.trace/v1 span list
     DELETE /v1/jobs/<id>  cancel (cooperative for running jobs)
-    GET    /v1/healthz    liveness: worker threads, queue depth, uptime
+    GET    /v1/healthz    liveness: workers (threads and solver processes),
+                          queue depth, uptime
     GET    /v1/metrics    metrics snapshot + live queue/cache views
 
 Request body for ``POST /v1/solve``::
@@ -59,7 +64,7 @@ has the full story):
 from __future__ import annotations
 
 import json
-import threading
+import re
 import time
 import uuid
 from collections import deque
@@ -75,6 +80,7 @@ from ..obs import MetricsRegistry, Tracer
 from .cache import SolveCache
 from .jobs import Job, JobQueue, JobState, QueueFull, UnknownJob
 from .pool import SolverPool
+from .solvers import SolverProcesses, solution_fields, solve_kwargs
 
 __all__ = [
     "BadRequest",
@@ -85,6 +91,9 @@ __all__ = [
 
 #: Largest accepted request body (a 413 beyond this).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: A well-formed ``Content-Length`` value.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 #: Solver params accepted from clients: name -> (validator, default).
 _PARAM_SPECS = {
@@ -167,6 +176,7 @@ class SolveService:
             metrics=self.metrics,
         )
         self.pool = SolverPool(self.queue, self._run_job, size=pool_size, metrics=self.metrics)
+        self.solvers = SolverProcesses(pool_size, self.backend_name)
         self.default_timeout_s = default_timeout_s
         self.validate_default = validate_default
         self.started_monotonic = time.monotonic()
@@ -175,11 +185,14 @@ class SolveService:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "SolveService":
+        # Fork before the pool threads exist: no thread holds a lock mid-fork.
+        self.solvers.start()
         self.pool.start()
         return self
 
     def shutdown(self) -> None:
         self.pool.shutdown()
+        self.solvers.shutdown()
 
     # -- submission ------------------------------------------------------
     def submit(self, body: dict[str, Any]) -> tuple[Job, bool]:
@@ -287,7 +300,7 @@ class SolveService:
         job_metrics = MetricsRegistry()
         now = time.monotonic()
         solution = self._solve(scenario, params, tracer, job_metrics, cancel=None)
-        payload = self._solution_payload(key, scenario, params, solution)
+        payload = self._solution_payload(key, scenario, params, solution_fields(solution))
         self.cache.put(key, payload)
         self.metrics.merge(job_metrics)
         self.metrics.inc("serve.jobs.candidate_tier")
@@ -317,21 +330,14 @@ class SolveService:
         job_metrics: MetricsRegistry,
         *,
         cancel: Any,
-        use_candidate_cache: bool = True,
     ) -> Any:
-        """One :func:`repro.core.solve_hipo` call with the service's
-        candidate cache attached (both the queued and the synchronous
-        candidate-tier paths run through here)."""
+        """One in-process :func:`repro.core.solve_hipo` call with the
+        service's candidate cache attached: the selection-only solves of
+        the candidate tier, synchronous or queued."""
         return solve_hipo(
             scenario,
-            eps=params.get("eps", 0.15),
-            workers=params.get("workers", 1),
-            lazy=params.get("lazy", False),
-            refine=params.get("refine", False),
-            algorithm3_order=params.get("algorithm3_order", False),
-            objective_power=params.get("objective_power", "approx"),
-            backend=self.backend_name,
-            candidate_cache=self.candidate_cache if use_candidate_cache else None,
+            **solve_kwargs(params, self.backend_name),
+            candidate_cache=self.candidate_cache,
             tracer=tracer,
             metrics=job_metrics,
             cancel=cancel,
@@ -339,46 +345,46 @@ class SolveService:
 
     @staticmethod
     def _solution_payload(
-        key: str | None, scenario: Any, params: dict[str, Any], solution: Any
+        key: str | None, scenario: Any, params: dict[str, Any], fields: dict[str, Any]
     ) -> dict[str, Any]:
-        """The cacheable result body (identical bytes however produced)."""
+        """The cacheable result body (identical bytes however produced);
+        *fields* are :func:`~repro.serve.solvers.solution_fields`."""
         return {
             "scenario_hash": key,
             "num_devices": scenario.num_devices,
             "num_chargers": scenario.num_chargers,
-            "utility": solution.utility,
-            "approx_utility": solution.approx_utility,
-            "strategies": [
-                {
-                    "position": [float(s.position[0]), float(s.position[1])],
-                    "orientation": float(s.orientation),
-                    "type": s.ctype.name,
-                }
-                for s in solution.strategies
-            ],
+            **fields,
             "params": {k: params[k] for k in sorted(params) if k != "workers"},
         }
 
     def _run_job(self, job: Job, tracer: Tracer) -> dict[str, Any]:
+        """Run one queued job.  A job whose extraction reached the
+        candidate cache while it waited runs its millisecond selection
+        here; every other job is a cold solve in a solver process, whose
+        candidate set then lands in the cache as the bytes it sent."""
         request = job.request
         params = request["params"]
         use_cache = request.get("use_cache", True)
         scenario, _ = scenario_from_dict(request["scenario"])
-        job_metrics = MetricsRegistry()
-        solution = self._solve(
-            scenario,
-            params,
-            tracer,
-            job_metrics,
-            cancel=job.cancel,
-            use_candidate_cache=use_cache,
-        )
-        if any(sp.attrs.get("cached") for sp in tracer.find_all("extraction")):
-            job.cache_tier = "candidates"
-        payload = self._solution_payload(job.cache_key, scenario, params, solution)
+        key = extraction_cache_key(scenario, eps=params.get("eps", 0.15)) if use_cache else None
+        if key is not None and self.candidate_cache.probe_or_miss(key):
+            job_metrics = MetricsRegistry()
+            solution = self._solve(scenario, params, tracer, job_metrics, cancel=job.cancel)
+            if any(sp.attrs.get("cached") for sp in tracer.find_all("extraction")):
+                job.cache_tier = "candidates"
+            fields = solution_fields(solution)
+            self.metrics.merge(job_metrics)
+        else:
+            reply = self.solvers.solve(
+                request["scenario"], params, job.cancel, tracer, keep_candidates=key is not None
+            )
+            if key is not None and reply.candidates is not None:
+                self.candidate_cache.put_bytes(key, reply.candidates)
+            fields = reply.fields
+            self.metrics.merge(reply.metrics)
+        payload = self._solution_payload(job.cache_key, scenario, params, fields)
         if use_cache:
             self.cache.put(job.cache_key, payload)
-        self.metrics.merge(job_metrics)
         return payload
 
     # -- reads -----------------------------------------------------------
@@ -390,7 +396,9 @@ class SolveService:
         return {"id": job.id, "state": job.state, "cancel_requested": True}
 
     def healthz(self) -> dict[str, Any]:
-        alive = self.pool.alive
+        # A worker is a pool thread and its solver process; both must live
+        # (heal first replaces solver processes that died between jobs).
+        alive = min(self.pool.alive, self.solvers.heal())
         status = "ok" if alive == self.pool.size else "degraded"
         return {
             "status": status,
@@ -436,6 +444,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body leave in two writes, and with Nagle on
+    # the body waits for the client's delayed ACK (~40 ms per keep-alive
+    # response).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SolveService:
@@ -473,8 +485,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": err}, headers)
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        text = (self.headers.get("Content-Length") or "0").strip()
+        if not _CONTENT_LENGTH.fullmatch(text):
+            # The body cannot be delimited, so the connection cannot be reused.
+            self.close_connection = True
+            raise BadRequest(
+                f"Content-Length: expected a non-negative integer, got {text!r}",
+                code="invalid-content-length",
+            )
+        length = int(text)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body would follow
             raise BadRequest(
                 f"request body too large ({length} > {MAX_BODY_BYTES} bytes)",
                 code="payload-too-large",
@@ -492,20 +513,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = 500
         route = self.path.split("?", 1)[0].rstrip("/") or "/"
         try:
-            self._route(method, route)
-        except BadRequest as exc:
-            status = 413 if exc.code == "payload-too-large" else 400
-            self._send_error_json(status, exc.code, str(exc), exc.details)
-        except QueueFull as exc:
-            self._send_error_json(
-                429, "queue-full", str(exc), headers={"Retry-After": "1"}
-            )
-        except UnknownJob as exc:
-            self._send_error_json(404, "unknown-job", f"no such job: {exc.args[0]}")
-        except BrokenPipeError:  # client went away mid-response
-            return
-        except Exception as exc:  # noqa: BLE001 - the server must survive handlers
-            self._send_error_json(500, "internal", f"{type(exc).__name__}: {exc}")
+            try:
+                self._route(method, route)
+            except BadRequest as exc:
+                status = 413 if exc.code == "payload-too-large" else 400
+                close = {"Connection": "close"} if self.close_connection else None
+                self._send_error_json(status, exc.code, str(exc), exc.details, close)
+            except QueueFull as exc:
+                self._send_error_json(
+                    429, "queue-full", str(exc), headers={"Retry-After": "1"}
+                )
+            except UnknownJob as exc:
+                self._send_error_json(404, "unknown-job", f"no such job: {exc.args[0]}")
+            except BrokenPipeError:
+                raise  # no 500 for a client that is gone
+            except Exception as exc:  # noqa: BLE001 - the server must survive handlers
+                self._send_error_json(500, "internal", f"{type(exc).__name__}: {exc}")
+        except BrokenPipeError:  # client went away mid-response, error responses too
+            self.close_connection = True
         finally:
             self.service.observe_request(method, route, self._status, time.perf_counter() - t0)
 

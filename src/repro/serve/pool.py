@@ -6,9 +6,10 @@ A :class:`SolverPool` runs ``size`` daemon threads, each looping::
                                              ─▶ finalize state + metrics
 
 The *runner* callable does the actual work (``repro.serve.api`` passes one
-that deserializes the scenario and calls
-:func:`~repro.core.solve_hipo` — which may itself fan out to a process pool
-via ``params.workers``).  The pool owns everything around it:
+that deserializes the scenario and runs :func:`~repro.core.solve_hipo` in a
+forked solver process of :mod:`repro.serve.solvers`, or in-thread when the
+candidate cache already holds the extraction).  The pool owns everything
+around it:
 
 * **Per-job tracing** — every job gets a fresh
   :class:`~repro.obs.Tracer`; its ``repro.trace/v1`` span dicts are stored

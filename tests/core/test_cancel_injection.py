@@ -5,11 +5,12 @@ was open at each poll.  k is chosen so the token trips at the parent's
 first poll between sweep-chunk results: after one poll per position task,
 one before the sweep loop and one after the first chunk.  If any hop
 (``solve_hipo`` -> ``build_candidate_set`` -> ``CandidateGenerator.positions``
-/ ``positions_from_tasks`` / the sweep loop, or the serve pool's runner)
-stops forwarding ``cancel``, the recorded poll sequence changes or the
-solve finishes, and the tests fail.
+/ ``positions_from_tasks`` / the sweep loop, or the serve layer's solver
+process) stops forwarding ``cancel``, the recorded poll sequence changes or
+the solve finishes, and the tests fail.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -21,19 +22,26 @@ from repro.io import scenario_to_dict
 from repro.obs import Tracer
 from repro.serve import JobState
 from repro.serve.api import SolveService
+from repro.serve.solvers import _CancelFlag
 
 
 class TripOnCall:
-    """Cancel token whose ``is_set()`` is true from its *k*-th call on."""
+    """Cancel token whose ``is_set()`` is true from its *k*-th call on.  The
+    call count lives in shared memory, so polls made in a process forked
+    after the token was built count too."""
 
     def __init__(self, k: int, tracer: Tracer | None = None) -> None:
         self.k = k
         self.tracer = tracer
-        self.calls = 0
+        self._calls = multiprocessing.RawValue("i", 0)
         self.spans: list[str] = []
 
+    @property
+    def calls(self) -> int:
+        return self._calls.value
+
     def is_set(self) -> bool:
-        self.calls += 1
+        self._calls.value += 1
         if self.tracer is not None:
             self.spans.append(self.tracer.current.name)
         return self.calls >= self.k
@@ -89,14 +97,18 @@ def test_serial_solve_stops_between_position_tasks(monkeypatch):
     assert tracer.find("sweeps") is None
 
 
-def test_pool_job_ends_cancelled_when_token_trips_inside_sweeps():
+def test_pool_job_ends_cancelled_when_token_trips_inside_sweeps(monkeypatch):
+    """A queued cold job solves in a solver process, whose solver polls the
+    slot's cancel flag.  The flag is made to trip on the same poll as above,
+    inside the solver process (the fork copies the patch), so the job must
+    end ``cancelled`` on that very poll, with its trace stopping in
+    ``sweeps``."""
     scenario = _scenario()
-    service = SolveService(pool_size=1, queue_size=4)  # started after the swap
+    token = TripOnCall(_position_polls(scenario, 1) + 2)
+    monkeypatch.setattr(_CancelFlag, "is_set", lambda flag: token.is_set())
+    service = SolveService(pool_size=1, queue_size=4).start()
     job, cached = service.submit({"scenario": scenario_to_dict(scenario), "use_cache": False})
     assert not cached
-    token = TripOnCall(_position_polls(scenario, 1) + 2)
-    job.cancel = token
-    service.start()
     try:
         deadline = time.monotonic() + 30.0
         while job.state not in (JobState.CANCELLED, JobState.DONE, JobState.FAILED):
@@ -108,4 +120,5 @@ def test_pool_job_ends_cancelled_when_token_trips_inside_sweeps():
     assert token.calls == token.k
     spans = {sp["name"]: sp for sp in job.trace}
     assert spans["sweeps"]["status"] == "error" and "selection" not in spans
+    assert spans["solve"]["parent_id"] == spans["job"]["span_id"]
     assert service.metrics.counter("serve.jobs.cancelled") == 1

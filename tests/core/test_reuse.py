@@ -183,6 +183,31 @@ def test_key_folds_in_generator_parameters():
     assert extraction_cache_key(sc, generator=Exotic(sc, eps=0.15)) != key
 
 
+def test_key_is_memoized_per_scenario_instance(monkeypatch):
+    import repro.core.reuse as reuse
+    from repro.io import canonical_extraction_hash
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return canonical_extraction_hash(*args, **kwargs)
+
+    monkeypatch.setattr(reuse, "canonical_extraction_hash", counting)
+    sc = scenario()
+    key = extraction_cache_key(sc)
+    assert extraction_cache_key(sc) == key
+    assert len(calls) == 1
+    assert key == canonical_extraction_hash(sc, eps=0.15, params={"max_positions": None})
+    # Other eps, a copy of the scenario, or a budget edited in place that
+    # deactivates a type: each is its own entry.
+    assert extraction_cache_key(sc, eps=0.2) != key
+    assert extraction_cache_key(sc.with_budgets({"ct": 2})) == key
+    sc.budgets["ct"] = 0
+    assert extraction_cache_key(sc) != key
+    assert len(calls) == 4
+
+
 # -- warm-start guarantee -------------------------------------------------
 
 
@@ -199,6 +224,21 @@ def test_warm_start_solve_is_byte_identical():
     swept = solve_hipo(sc.with_budgets({"ct": 3}), candidate_cache=cache)
     assert cache.stats()["hits"] == 2
     assert fingerprint(swept) == fingerprint(solve_hipo(sc.with_budgets({"ct": 3})))
+
+
+def test_probe_or_miss_counts_only_the_miss():
+    """A miss is counted at the probe (its solve runs without the cache); a
+    hit is counted once, by the solve that follows."""
+    sc = scenario()
+    key = extraction_cache_key(sc)
+    cache = CandidateSetCache()
+    assert not cache.probe_or_miss(key)
+    assert cache.stats()["misses"] == 1
+    cache.put(key, solve_hipo(sc, keep_candidates=True).candidate_set)
+    assert cache.probe_or_miss(key)
+    assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 1
+    solve_hipo(sc, candidate_cache=cache)
+    assert cache.stats()["hits"] == 1
 
 
 def test_warm_start_marks_extraction_span_cached():

@@ -61,6 +61,27 @@ def test_parent_intervals_exactly_contain_children():
         assert c.end_s <= p.end_s
 
 
+def test_graft_adopts_spans_of_another_tracer():
+    """A trace recorded elsewhere (a solver process) joins under the
+    current span, re-based on this tracer's epoch, with fresh ids."""
+    outer = Tracer()
+    with outer.span("job"):
+        inner = Tracer()
+        with inner.span("solve"):
+            with inner.span("extraction"):
+                pass
+        outer.graft(inner.spans, inner.epoch)
+    by_name = {sp.name: sp for sp in outer.spans}
+    assert by_name["solve"].parent_id == by_name["job"].span_id
+    assert by_name["extraction"].parent_id == by_name["solve"].span_id
+    assert {sp.trace_id for sp in outer.spans} == {outer.trace_id}
+    assert by_name["solve"].start_s == pytest.approx(
+        inner.epoch - outer.epoch + inner.find("solve").start_s
+    )
+    assert [sp.span_id for sp in sorted(outer.spans, key=lambda s: s.start_s)] == ["s1", "s2", "s3"]
+    validate_trace_lines(outer.to_jsonl().splitlines())
+
+
 def test_exception_safety():
     tr = Tracer()
     with pytest.raises(RuntimeError, match="boom"):

@@ -126,6 +126,7 @@ def test_concurrent_submit_cancel_poll_keeps_every_invariant():
         sys.setswitchinterval(interval)
         stop.set()
         service.pool.shutdown(timeout=30)  # joins the workers: every counter is recorded
+        service.solvers.shutdown()
         drained.set()
         monitor.join(timeout=30)
 
