@@ -1,6 +1,6 @@
 PYTHONPATH_PREFIX = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint typecheck bench-smoke bench-scaling bench-cache bench-backends serve serve-smoke vary-smoke ci
+.PHONY: test lint typecheck bench-smoke bench-scaling bench-cache serve serve-smoke vary-smoke ci
 
 test:
 	$(PYTHONPATH_PREFIX) python -m pytest -x -q
@@ -25,9 +25,6 @@ bench-scaling:
 
 bench-cache:
 	$(PYTHONPATH_PREFIX) python benchmarks/bench_cache_reuse.py --smoke --out /tmp/bench_cache_smoke.json
-
-bench-backends:
-	$(PYTHONPATH_PREFIX) python benchmarks/bench_backends.py
 
 vary-smoke:
 	$(PYTHONPATH_PREFIX) python -m repro.variation --families all --budget 150 \

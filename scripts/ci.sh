@@ -8,11 +8,7 @@
 # present, root span covers child spans), and a serve smoke run: boot
 # `repro serve`, health-check it over HTTP, verify a cached solve
 # round-trip (second POST must be served from cache, byte-identical),
-# then shut it down cleanly via SIGTERM.  Compute backends: tier-1 is
-# pinned to the numpy reference backend; the cross-backend equivalence
-# suite re-runs on numba when that accelerator is importable, and the
-# backends smoke bench asserts cold solves are byte-identical across
-# whatever backends load on this machine.
+# then shut it down cleanly via SIGTERM.
 #
 # Static gates run first (fail fast, cheapest signals): the project
 # analyzer (docs/static-analysis.md) over src/repro — run twice, with the
@@ -57,12 +53,7 @@ python -m repro.analysis benchmarks examples --select DET
 
 sh scripts/typecheck.sh
 
-# Tier-1 runs pinned to the numpy reference backend so the gate is
-# deterministic regardless of which accelerators this machine has; the
-# backend-equivalence suite is then repeated on the compiled backend when
-# numba is importable (skipped silently otherwise), together with the
-# candidate-set digest fixture.
-REPRO_BACKEND=numpy python -m pytest -x -q
+python -m pytest -x -q
 
 # The batch intersection kernels must equal their scalar oracles bit for
 # bit, and positions and candidate sets their recorded digests: re-run
@@ -75,11 +66,6 @@ for i in 1 2 3 4 5 6 7 8 9 10; do
     python -m pytest tests/serve/test_stress.py tests/serve/test_solvers.py -q
 done
 echo "serve stress and solver-process fault tests ok (10 runs)"
-
-if python -c "import numba" 2>/dev/null; then
-    echo "numba importable: repeating backend equivalence and candidate-set digests on the compiled backend"
-    REPRO_BACKEND=numba python -m pytest tests/backend tests/core/test_extraction_digest.py -x -q
-fi
 
 # Benchmark self-test: every per-layer timing target of benchmarks/perf
 # still resolves and the smoke workloads match their golden outputs.
@@ -105,17 +91,6 @@ assert doc['byte_identical'] is True, doc
 assert doc['warm']['cache']['hits'] >= doc['sweep']['points'], doc['warm']
 print('cache-reuse smoke bench ok (warm byte-identical)')
 " "$CACHE_OUT"
-
-BACKENDS_OUT="${TMPDIR:-/tmp}/bench_backends_smoke.json"
-python benchmarks/bench_backends.py --smoke --out "$BACKENDS_OUT"
-python -c "
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc['meta']['schema'] == 'repro.bench/v1', doc.get('meta')
-assert doc['cold_solve']['byte_identical'] is True, doc['cold_solve']
-assert doc['meta']['backend']['active'] in doc['backends']['tested'], doc['meta']['backend']
-print('backends smoke bench ok (cold solves byte-identical, backend stamped)')
-" "$BACKENDS_OUT"
 
 VARY_OUT="${TMPDIR:-/tmp}/vary_smoke.json"
 VARY_OUT2="${TMPDIR:-/tmp}/vary_smoke_rerun.json"

@@ -9,7 +9,7 @@ output is stable.
 from __future__ import annotations
 
 from ..engine import Rule
-from .backend import BackendPurityRule, LazyAcceleratorImportRule
+from .backend import BackendPurityRule
 from .concurrency import CancelPollRule, LockGuardRule, LockHazardRule
 from .determinism import SetIterationRule, UnseededRandomRule, WallClockRule
 from .hygiene import FloatEqualityRule, PicklableTaskRule, SpanContextRule
@@ -19,7 +19,6 @@ from .variation import PureVariationRule
 __all__ = ["default_rules"]
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
-    LazyAcceleratorImportRule,  # BKD701
     BackendPurityRule,       # BKD702
     UnseededRandomRule,      # DET101
     WallClockRule,           # DET102

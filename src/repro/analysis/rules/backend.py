@@ -1,14 +1,8 @@
-"""Backend import-hygiene rule (BKD7xx).
+"""Backend purity rule (BKD702).
 
-The compute-backend seam (:mod:`repro.backend`) promises that *importing*
-the package is free: accelerator toolchains (numba, cupy) may take
-hundreds of milliseconds to import, may not be installed at all, and may
-crash on import in broken CUDA environments.  A module-top-level
-``import numba`` in a backend implementation breaks all three guarantees
-at once — every ``repro`` import would pay for (and possibly die on) an
-optional dependency.  The contract is that accelerators are imported only
-inside a function body, i.e. the backend's ``load()`` hook, where
-failures are caught and auto-selection falls back.
+The two kernel sets of :mod:`repro.backend` must return bit-identical
+arrays for identical inputs.  That holds only while they are pure
+compute, so backend code may not import the orchestration packages.
 """
 
 from __future__ import annotations
@@ -19,77 +13,16 @@ from typing import Iterator
 from ..astutil import walk_with_parents
 from ..engine import ModuleContext, Project, Rule, Violation
 
-__all__ = ["BackendPurityRule", "LazyAcceleratorImportRule"]
-
-#: Module roots whose import is expensive/optional and must stay lazy.
-_ACCELERATORS = {"numba", "cupy", "cupyx", "llvmlite", "pycuda", "torch", "jax"}
+__all__ = ["BackendPurityRule"]
 
 
-class LazyAcceleratorImportRule(Rule):
-    """BKD701: accelerator imports in ``repro.backend`` must be lazy.
-
-    Flags ``import numba`` / ``from cupy import ...`` (and the other
-    accelerator roots) at module top level in backend code — including
-    inside top-level ``if``/``try`` blocks, which still execute at import
-    time.  ``if TYPE_CHECKING:`` blocks are exempt (they never run), as
-    are imports inside function bodies (that is exactly where they
-    belong: the backend's ``load()``).
-    """
-
-    rule_id = "BKD701"
-    severity = "error"
-    scope = ("backend",)
-    summary = "accelerator imports (numba/cupy/...) only inside load(), never top level"
-
-    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Violation]:
-        yield from self._scan_body(ctx, ctx.tree.body)
-
-    def _scan_body(self, ctx: ModuleContext, body: list[ast.stmt]) -> Iterator[Violation]:
-        for stmt in body:
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    root = alias.name.split(".")[0]
-                    if root in _ACCELERATORS:
-                        yield self._flag(ctx, stmt, root)
-            elif isinstance(stmt, ast.ImportFrom):
-                if stmt.level == 0 and stmt.module:
-                    root = stmt.module.split(".")[0]
-                    if root in _ACCELERATORS:
-                        yield self._flag(ctx, stmt, root)
-            elif isinstance(stmt, ast.If):
-                if not self._is_type_checking(stmt.test):
-                    yield from self._scan_body(ctx, stmt.body)
-                yield from self._scan_body(ctx, stmt.orelse)
-            elif isinstance(stmt, ast.Try):
-                # try/except at module level still imports eagerly (and the
-                # except arm hides the cost, not the import).
-                yield from self._scan_body(ctx, stmt.body)
-                for handler in stmt.handlers:
-                    yield from self._scan_body(ctx, handler.body)
-                yield from self._scan_body(ctx, stmt.orelse)
-                yield from self._scan_body(ctx, stmt.finalbody)
-            elif isinstance(stmt, ast.With):
-                yield from self._scan_body(ctx, stmt.body)
-            # Function and class bodies are exempt: imports there run on
-            # call, which is the sanctioned lazy pattern.
-
-    def _flag(self, ctx: ModuleContext, stmt: ast.stmt, root: str) -> Violation:
-        return self.violation(
-            ctx,
-            stmt,
-            f"top-level import of accelerator {root!r}; backend implementations "
-            "must import accelerators lazily inside load() so importing "
-            "repro.backend never pays for (or fails on) an optional toolchain",
-        )
-
-    @staticmethod
-    def _is_type_checking(test: ast.expr) -> bool:
-        """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:`` guards."""
-        if isinstance(test, ast.Name):
-            return test.id == "TYPE_CHECKING"
-        if isinstance(test, ast.Attribute):
-            return test.attr == "TYPE_CHECKING"
-        return False
+def _is_type_checking(test: ast.expr) -> bool:
+    """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:`` guards."""
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return False
 
 
 #: Orchestration packages kernel backends must never reach back into.
@@ -106,9 +39,9 @@ class BackendPurityRule(Rule):
     scope or lazily inside a kernel body — can observe or mutate
     orchestration state (caches, metrics, ambient scopes), making kernel
     output depend on which backend ran and when.  Shared numeric helpers
-    live in ``geometry``/``model``; those imports are fine.  Unlike
-    BKD701, laziness is no excuse here: the import is flagged wherever it
-    appears, except under ``if TYPE_CHECKING:`` (annotations never run).
+    live in ``geometry``/``model``; those imports are fine.  Laziness is
+    no excuse: the import is flagged wherever it appears, except under
+    ``if TYPE_CHECKING:`` (annotations never run).
     """
 
     rule_id = "BKD702"
@@ -124,7 +57,7 @@ class BackendPurityRule(Rule):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if any(
-                isinstance(a, ast.If) and LazyAcceleratorImportRule._is_type_checking(a.test)
+                isinstance(a, ast.If) and _is_type_checking(a.test)
                 for a in ancestors
             ):
                 continue

@@ -1,11 +1,11 @@
-"""Reference numpy backend: the original broadcast kernels, behind the seam.
+"""The production kernels: broadcast numpy expressions.
 
-These bodies are the exact array expressions that previously lived inline
-in :mod:`repro.geometry.visibility` (proper-crossing + parity tests),
+These bodies are the exact array expressions that once lived inline in
+:mod:`repro.geometry.visibility` (proper-crossing + parity tests),
 :mod:`repro.model.power` (the power-law fill) and :mod:`repro.core.pdcs`
-(the sweep coverage matrix).  They were moved here verbatim — same
-operations in the same order on the same dtypes — so every other backend
-has a bit-exact oracle to match and the seam itself cannot change results.
+(the sweep coverage matrix), moved here verbatim — same operations in the
+same order on the same dtypes — so the seam itself cannot change results
+and the ``pyloop`` reference has a bit-exact oracle to match.
 """
 
 from __future__ import annotations
@@ -65,14 +65,9 @@ def _blocked_segments(
 
 
 class NumpyBackend(KernelBackend):
-    """Pure-numpy kernels; always available, the auto-selection floor."""
+    """Pure-numpy kernels; the default kernel set."""
 
     name = "numpy"
-    priority = 10
-    selectable = True
-
-    def available(self) -> bool:
-        return True
 
     def blocked_segments(
         self,
@@ -83,11 +78,6 @@ class NumpyBackend(KernelBackend):
         edge_dirs: np.ndarray,
     ) -> np.ndarray:
         return _blocked_segments(starts, ends, edge_starts, edge_ends, edge_dirs)
-
-    def parity_inside(
-        self, edge_starts: np.ndarray, edge_ends: np.ndarray, points: np.ndarray
-    ) -> np.ndarray:
-        return _parity_inside(edge_starts, edge_ends, points)
 
     def power_fill(self, a: np.ndarray, b: np.ndarray, dists: np.ndarray) -> np.ndarray:
         return a / (dists + b) ** 2

@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool workers for candidate extraction (1 = in-process)",
     )
     solve.add_argument(
-        "--backend",
-        type=str,
-        default=None,
-        choices=("auto", "numpy", "numba", "pyloop"),
-        help="compute backend for the extraction kernels (docs/backends.md); "
-        "default: auto (numba when installed, else numpy; REPRO_BACKEND "
-        "env overrides). All backends give byte-identical placements.",
-    )
-    solve.add_argument(
         "--timings", action="store_true", help="print each phase's wall time (from the trace)"
     )
     solve.add_argument(
@@ -216,14 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="default per-job timeout (measured from submission)",
-    )
-    serve.add_argument(
-        "--backend",
-        type=str,
-        default=None,
-        choices=("auto", "numpy", "numba", "pyloop"),
-        help="compute backend for all jobs (reported by /v1/metrics); "
-        "default: auto",
     )
     serve.add_argument("--quiet", action="store_true", help="suppress per-request log lines")
 
@@ -363,14 +346,11 @@ def _cmd_solve(args) -> int:
         scenario,
         eps=args.eps,
         workers=args.workers,
-        backend=args.backend,
         candidate_cache=cache,
     )
-    solve_spans = sol.trace.find_all("solve") if sol.trace is not None else []
-    backend_name = solve_spans[-1].attrs.get("backend", "auto") if solve_spans else "auto"
     print(
         f"devices={scenario.num_devices} chargers={scenario.num_chargers} "
-        f"eps={args.eps} backend={backend_name}"
+        f"eps={args.eps} backend={sol.trace.find_all('solve')[-1].attrs['backend']}"
     )
     print(f"charging utility = {sol.utility:.4f} (approx objective {sol.approx_utility:.4f})")
     if args.timings:
@@ -524,7 +504,6 @@ def _cmd_serve(args) -> int:
         candidate_cache_bytes=args.candidate_cache_bytes,
         candidate_cache_dir=args.candidate_cache,
         default_timeout_s=args.timeout,
-        backend=args.backend,
         verbose=not args.quiet,
     )
 

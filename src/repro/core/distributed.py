@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..backend import activate_backend
+from ..backend import ACTIVE_BACKEND, BACKENDS, active_backend
 from ..model.network import Scenario
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..opt.scheduling import Schedule, lpt_schedule
@@ -189,16 +189,10 @@ def simulate_distributed_times(
 _WORKER_GEN: CandidateGenerator | None = None
 
 
-def _pool_init(
-    scenario: Scenario,
-    eps: float,
-    max_positions: int | None = None,
-    backend: str | None = None,
-) -> None:
+def _pool_init(scenario: Scenario, eps: float, max_positions: int | None, backend: str) -> None:
     global _WORKER_GEN
-    # Workers compute on the same backend the parent solve resolved, so
-    # pooled and serial extraction stay byte-identical by construction.
-    activate_backend(backend)
+    # Workers run the parent's kernel set for the life of the process.
+    ACTIVE_BACKEND.set(BACKENDS[backend])
     _WORKER_GEN = CandidateGenerator(scenario, eps=eps, max_positions=max_positions)
 
 
@@ -206,19 +200,18 @@ def _on_worker(task: Callable[[CandidateGenerator, Any], Any], arg: Any) -> Any:
     return task(_WORKER_GEN, arg)
 
 
-def extraction_pool(
-    gen: CandidateGenerator, workers: int, *, backend: str | None = None
-) -> ProcessPoolExecutor:
+def extraction_pool(gen: CandidateGenerator, workers: int) -> ProcessPoolExecutor:
     """A process pool whose workers each rebuild *gen* — its scenario, ``eps``
     and ``max_positions``, shipped once per worker by the pool initializer —
     for :func:`run_tasks`.  The ``max_positions`` cap itself is applied by
     the parent when gathering.  Generator *subclasses* cannot be rebuilt in
-    workers and must not be pooled.
+    workers and must not be pooled.  Workers run the caller's
+    :func:`~repro.backend.active_backend`, whose name the initializer gets.
     """
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_pool_init,
-        initargs=(gen.scenario, gen.eps, gen.max_positions, backend),
+        initargs=(gen.scenario, gen.eps, gen.max_positions, active_backend().name),
     )
 
 

@@ -138,9 +138,9 @@ def build_candidate_set(
 ) -> CandidateSet:
     """Run candidate extraction + PDCS sweeps and assemble the power matrices.
 
-    *backend* names the compute backend for the hot kernels (``"numpy"``,
-    ``"numba"``, ``None``/``"auto"`` — see :mod:`repro.backend`); pool
-    workers inherit the resolved choice, and all backends produce
+    *backend* names the kernel set for the hot kernels (``"numpy"``, the
+    ``"pyloop"`` reference, or ``None`` for the current one — see
+    :mod:`repro.backend`); pool workers inherit it, and both sets produce
     byte-identical candidate sets.
 
     *cancel* is a cooperative cancellation token (``is_set() -> bool``,
@@ -224,9 +224,7 @@ def build_candidate_set(
     with use_backend(backend) as bk, trace.span(
         "extraction", workers=nworkers, backend=bk.name
     ) as ext_sp, (
-        extraction_pool(gen, nworkers, backend=bk.name)
-        if pooled
-        else contextlib.nullcontext()
+        extraction_pool(gen, nworkers) if pooled else contextlib.nullcontext()
     ) as pool:
         # Phase 1: candidate positions per charger type.
         with trace.span("positions") as pos_sp:
@@ -347,11 +345,11 @@ def solve_hipo(
 ) -> HIPOSolution:
     """Solve a HIPO instance end to end (the paper's full algorithm).
 
-    *backend* selects the compute backend for the extraction hot path
-    (``"numpy"``, ``"numba"``, ``None``/``"auto"``; see
-    :mod:`repro.backend`).  Backends are bit-identical by contract, so the
-    choice affects wall-clock only — never the placement, the utilities or
-    the candidate-cache keys.  The resolved name is stamped on the
+    *backend* selects the kernel set for the extraction hot path
+    (``"numpy"``, the ``"pyloop"`` reference, or ``None`` for the current
+    one; see :mod:`repro.backend`).  The sets are bit-identical by
+    contract, so the choice affects wall-clock only — never the placement,
+    the utilities or the candidate-cache keys.  Its name is stamped on the
     ``solve`` and ``extraction`` trace spans.
 
     Returns a :class:`HIPOSolution`; ``utility`` is the exact objective of

@@ -87,11 +87,11 @@ def extraction_cache_key(
     generator keys on its qualified class name so exotic extractors never
     collide with the stock one.
 
-    The compute backend (:mod:`repro.backend`) is deliberately *not* part
-    of the key: backends are bit-identical by contract (enforced by the
+    The kernel set (:mod:`repro.backend`) is deliberately *not* part of
+    the key: the sets are bit-identical by contract (enforced by the
     ``tests/backend`` equivalence suite), so a candidate set extracted on
-    one backend is a valid warm-start for any other — folding the backend
-    in would only fragment the cache.
+    one is a valid warm-start for the other — folding the set in would
+    only fragment the cache.
 
     The key is memoized on the scenario instance, per ``eps``, generator
     parameters and set of active charger types (the one input a caller

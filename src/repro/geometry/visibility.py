@@ -59,8 +59,8 @@ def visible_mask_many(
     blocked if it properly crosses an edge or its midpoint lies strictly
     inside (degenerate boundary-grazing midpoints use parity only — a
     measure-zero difference).  The per-obstacle crossing test runs on the
-    active compute backend (:func:`repro.backend.active_backend`); every
-    backend returns bit-identical masks.
+    active kernel set (:func:`repro.backend.active_backend`); both sets
+    return bit-identical masks.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     pts = np.asarray(targets, dtype=float).reshape(-1, 2)

@@ -2,9 +2,9 @@
 
 Every benchmark JSON artifact (``BENCH_*.json``, ``benchmarks/results/*``)
 routes through :func:`write_bench_json`, which stamps a ``meta`` block —
-git sha, python/numpy versions, platform, CPU count, UTC timestamp, the
-compute backend and an optional metric snapshot — so numbers are
-attributable to the code and machine that produced them.
+git sha, python/numpy versions, platform, CPU count, UTC timestamp and
+an optional metric snapshot — so numbers are attributable to the code and
+machine that produced them.
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ def git_sha(cwd: str | Path | None = None) -> str | None:
         return None
 
 
-def _backend_meta() -> dict[str, Any] | None:
-    """Active compute backend + availability map for provenance stamping.
-
-    Degrades to ``None`` on any failure so benchmark writes never break on
-    an exotic backend state; the import is lazy to keep ``repro.obs``
-    importable without the backend package in stripped-down checkouts.
-    """
-    try:
-        from ..backend import active_backend, backend_status
-
-        return {"active": active_backend().name, "available": backend_status()}
-    except Exception:
-        return None
-
-
 def run_meta(metrics: MetricsSnapshot | None = None) -> dict[str, Any]:
     """The provenance ``meta`` block stamped into benchmark artifacts."""
     import numpy as np
@@ -80,9 +65,6 @@ def run_meta(metrics: MetricsSnapshot | None = None) -> dict[str, Any]:
             timespec="seconds"
         ),
     }
-    backend = _backend_meta()
-    if backend is not None:
-        meta["backend"] = backend
     if metrics is not None:
         meta["metrics"] = metrics.to_dict()
     return meta

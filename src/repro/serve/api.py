@@ -64,6 +64,7 @@ has the full story):
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 import uuid
@@ -71,7 +72,6 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from ..backend import backend_status, resolve_backend
 from ..core import CandidateSetCache, solve_hipo
 from ..core.reuse import extraction_cache_key
 from ..io import canonical_scenario_hash, scenario_from_dict
@@ -95,10 +95,16 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: A well-formed ``Content-Length`` value.
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 
-#: Solver params accepted from clients: name -> (validator, default).
+#: Largest accepted ``params.workers``: each worker is a forked process.
+MAX_WORKERS = os.cpu_count() or 1
+
+#: Solver params accepted from clients: name -> (label, validator).
 _PARAM_SPECS = {
     "eps": ("positive float < 1", lambda v: isinstance(v, (int, float)) and 0 < v < 1),
-    "workers": ("positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+    "workers": (
+        f"integer from 1 to {MAX_WORKERS} (the CPU count)",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= MAX_WORKERS,
+    ),
     "lazy": ("boolean", lambda v: isinstance(v, bool)),
     "refine": ("boolean", lambda v: isinstance(v, bool)),
     "algorithm3_order": ("boolean", lambda v: isinstance(v, bool)),
@@ -157,13 +163,7 @@ class SolveService:
         candidate_cache_dir: str | None = None,
         default_timeout_s: float | None = None,
         validate_default: bool = True,
-        backend: str | None = None,
     ) -> None:
-        # Resolve the compute backend up front: a bad --backend should fail
-        # service startup with a clear error, not the first job.  Backends
-        # are bit-identical by contract, so this choice never affects
-        # results or cache keys — only solve wall-clock.
-        self.backend_name: str = resolve_backend(backend).name
         #: Service-wide, thread-safe registry; the caches and the pool record
         #: onto it too.  Every component keeps its own leaf lock.
         self.metrics = MetricsRegistry()
@@ -176,7 +176,7 @@ class SolveService:
             metrics=self.metrics,
         )
         self.pool = SolverPool(self.queue, self._run_job, size=pool_size, metrics=self.metrics)
-        self.solvers = SolverProcesses(pool_size, self.backend_name)
+        self.solvers = SolverProcesses(pool_size)
         self.default_timeout_s = default_timeout_s
         self.validate_default = validate_default
         self.started_monotonic = time.monotonic()
@@ -336,7 +336,7 @@ class SolveService:
         the candidate tier, synchronous or queued."""
         return solve_hipo(
             scenario,
-            **solve_kwargs(params, self.backend_name),
+            **solve_kwargs(params),
             candidate_cache=self.candidate_cache,
             tracer=tracer,
             metrics=job_metrics,
@@ -420,7 +420,6 @@ class SolveService:
             },
             "cache": self.cache.stats(),
             "candidate_cache": self.candidate_cache.stats(),
-            "backend": {"active": self.backend_name, "available": backend_status()},
             "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
         }
 
@@ -505,7 +504,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest("empty request body; expected JSON", code="empty-body")
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError, bad UTF-8 and integer literals
+        # past Python's digit limit; RecursionError deep nesting.
+        except (ValueError, RecursionError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}", code="invalid-json") from exc
 
     def _dispatch(self, method: str) -> None:
@@ -597,7 +598,6 @@ def run_server(
     candidate_cache_bytes: int = 128 * 1024 * 1024,
     candidate_cache_dir: str | None = None,
     default_timeout_s: float | None = None,
-    backend: str | None = None,
     verbose: bool = True,
 ) -> int:
     """Blocking entry point behind ``repro serve``.
@@ -623,14 +623,12 @@ def run_server(
         candidate_cache_bytes=candidate_cache_bytes,
         candidate_cache_dir=candidate_cache_dir,
         default_timeout_s=default_timeout_s,
-        backend=backend,
     ).start()
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     print(
         f"repro serve listening on http://{bound_host}:{bound_port} "
-        f"(pool={pool_size}, queue={queue_size}, cache={cache_entries} entries, "
-        f"backend={service.backend_name})",
+        f"(pool={pool_size}, queue={queue_size}, cache={cache_entries} entries)",
         flush=True,
     )
     try:

@@ -89,7 +89,7 @@ class SolverProcessLost(RuntimeError):
     process for the next job."""
 
 
-def solve_kwargs(params: dict[str, Any], backend: str) -> dict[str, Any]:
+def solve_kwargs(params: dict[str, Any]) -> dict[str, Any]:
     """The :func:`~repro.core.solve_hipo` arguments of validated request
     params."""
     return {
@@ -99,7 +99,6 @@ def solve_kwargs(params: dict[str, Any], backend: str) -> dict[str, Any]:
         "refine": params.get("refine", False),
         "algorithm3_order": params.get("algorithm3_order", False),
         "objective_power": params.get("objective_power", "approx"),
-        "backend": backend,
     }
 
 
@@ -153,15 +152,13 @@ class _Slot:
     cancel: _CancelFlag
 
 
-def _solve(
-    request: tuple[Any, ...], backend: str, cancel: _CancelFlag, tracer: Tracer
-) -> SolveReply:
+def _solve(request: tuple[Any, ...], cancel: _CancelFlag, tracer: Tracer) -> SolveReply:
     scenario_data, params, keep_candidates = request
     scenario, _ = scenario_from_dict(scenario_data)
     metrics = MetricsRegistry()
     solution = solve_hipo(
         scenario,
-        **solve_kwargs(params, backend),
+        **solve_kwargs(params),
         keep_candidates=keep_candidates,
         candidate_cache=None,
         tracer=tracer,
@@ -185,9 +182,7 @@ def _picklable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _child_main(
-    conn: Connection, cancel: _CancelFlag, backend: str, inherited: list[Connection]
-) -> None:
+def _child_main(conn: Connection, cancel: _CancelFlag, inherited: list[Connection]) -> None:
     """A solver process: answer requests until the pipe reaches EOF."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -211,7 +206,7 @@ def _child_main(
         tracer = Tracer()
         reply: tuple[str, Any]
         try:
-            reply = ("done", _solve(request, backend, cancel, tracer))
+            reply = ("done", _solve(request, cancel, tracer))
         except SolveCancelled:
             reply = ("cancelled", None)
         except Exception as exc:  # noqa: BLE001 - reported to the server
@@ -242,11 +237,10 @@ class SolverProcesses:
     so that every child closes every other slot's server-side pipe end.
     """
 
-    def __init__(self, size: int, backend: str) -> None:
+    def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError(f"solver process count must be positive, got {size}")
         self.size = size
-        self.backend = backend
         self._lock = threading.Lock()
         self._slots: list[_Slot] = []
         self._closed = False
@@ -269,7 +263,7 @@ class SolverProcesses:
         inherited = [slot.conn for slot in self._slots] + [conn]
         process = _FORK.Process(
             target=_child_main,
-            args=(child_end, cancel, self.backend, inherited),
+            args=(child_end, cancel, inherited),
             name="repro-solver",
             daemon=True,
         )

@@ -1,16 +1,11 @@
-"""Cross-backend bit-equality: every backend must match the numpy oracle.
+"""Cross-backend bit-equality: the pyloop kernels must match numpy's.
 
 The seam's contract is *bitwise* interchangeability — candidate sets,
-cache blobs and placements may not depend on the backend.  Hypothesis
+cache blobs and placements may not depend on the kernel set.  Hypothesis
 drives the kernels over lattice coordinates (quarter-integer grid) so
 degenerate configurations — collinear touches, vertex-grazing rays,
 segments lying exactly along edges, zero-aperture sectors — occur with
 high probability instead of almost never.
-
-The ``pyloop`` backend (see ``backend_testlib.py``) runs the numba kernel bodies
-uncompiled, so the compiled path's logic is verified even on machines
-without numba; when numba is importable the compiled backend joins the
-comparison too.
 """
 
 from __future__ import annotations
@@ -22,18 +17,26 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from backend_testlib import (  # noqa: F401  (fixtures register on import)
-    alternative_backends,
-    numpy_backend,
-    pyloop_registered,
-    solve_scenario,
-)
-
 from repro.backend import use_backend
+from repro.backend.numpy_backend import NumpyBackend
+from repro.backend.pyloop_backend import PyLoopBackend
 from repro.geometry import Polygon, rectangle, visible_mask_many
 from repro.geometry.primitives import TWO_PI
+from repro.model import (
+    ChargerType,
+    CoefficientTable,
+    Device,
+    DeviceType,
+    PairCoefficients,
+    Scenario,
+)
 
-ALTS = alternative_backends()
+ALTS = [PyLoopBackend()]
+
+
+@pytest.fixture(scope="session")
+def numpy_backend() -> NumpyBackend:
+    return NumpyBackend()
 
 
 def alt_ids():
@@ -88,17 +91,6 @@ def test_blocked_segments_bitwise_equal(numpy_backend, alt, segs, poly):
     expected = numpy_backend.blocked_segments(starts, ends, c, d, s)
     got = alt.blocked_segments(starts, ends, c, d, s)
     assert_bits_equal(expected, np.asarray(got), "blocked_segments")
-
-
-@pytest.mark.parametrize("alt", ALTS, ids=alt_ids())
-@settings(max_examples=150, deadline=None)
-@given(pts=st.lists(point, min_size=1, max_size=16), poly=obstacle)
-def test_parity_inside_bitwise_equal(numpy_backend, alt, pts, poly):
-    points = np.array(pts, dtype=float)
-    c, d, _ = poly.edge_arrays()
-    expected = numpy_backend.parity_inside(c, d, points)
-    got = alt.parity_inside(c, d, points)
-    assert_bits_equal(expected, np.asarray(got), "parity_inside")
 
 
 @pytest.mark.parametrize("alt", ALTS, ids=alt_ids())
@@ -192,23 +184,31 @@ def test_power_fill_bitwise_equal(numpy_backend, alt, rows, cols, data):
 # ---------------------------------------------------------------- solves --
 
 
-def _solve_scenario():
-    return solve_scenario()
+def _solve_scenario() -> Scenario:
+    """A small obstacle-rich instance for end-to-end byte-equality tests."""
+    ct = ChargerType("ct", math.pi / 2.0, 1.0, 6.0)
+    dt = DeviceType("dt", 2.0 * math.pi)
+    table = CoefficientTable({("ct", "dt"): PairCoefficients(100.0, 5.0)})
+    positions = [(4.0, 4.0), (8.0, 11.0), (12.0, 10.0), (16.0, 14.0), (5.0, 15.0)]
+    devices = tuple(Device(p, 0.0, dt, 0.5) for p in positions)
+    return Scenario(
+        bounds=(0.0, 0.0, 20.0, 20.0),
+        devices=devices,
+        obstacles=(rectangle(6.0, 6.0, 9.0, 9.0), rectangle(12.0, 3.0, 14.0, 5.0)),
+        charger_types=(ct,),
+        budgets={"ct": 2},
+        table=table,
+    )
 
 
-def test_candidates_and_solutions_byte_identical_across_backends(pyloop_registered):
+def test_candidates_and_solutions_byte_identical_across_backends():
     """The acceptance criterion, end to end: candidate blobs and placements
     from different backends are byte-for-byte the same."""
     from repro.core import build_candidate_set, solve_hipo
     from repro.core.reuse import serialize_candidate_set
 
     sc = _solve_scenario()
-    backends = ["numpy", pyloop_registered]
-    from repro.backend.numba_backend import NumbaBackend
-
-    if NumbaBackend().available():
-        backends.append("numba")
-
+    backends = ["numpy", "pyloop"]
     blobs = {}
     solutions = {}
     for name in backends:
@@ -227,7 +227,7 @@ def test_candidates_and_solutions_byte_identical_across_backends(pyloop_register
         ]
 
 
-def test_cache_key_excludes_backend(pyloop_registered):
+def test_cache_key_excludes_backend():
     """Candidate-cache keys are backend-independent: a set extracted on one
     backend warm-starts a solve on another, byte-identically."""
     from repro.core import solve_hipo
@@ -238,7 +238,7 @@ def test_cache_key_excludes_backend(pyloop_registered):
     cache = CandidateSetCache()
     cold = solve_hipo(sc, backend="numpy", candidate_cache=cache)
     assert cache.stats()["misses"] == 1
-    warm = solve_hipo(sc, backend=pyloop_registered, candidate_cache=cache)
+    warm = solve_hipo(sc, backend="pyloop", candidate_cache=cache)
     assert cache.stats()["hits"] == 1
     assert extraction_cache_key(sc) == key  # key is a pure content address
     assert warm.utility == cold.utility

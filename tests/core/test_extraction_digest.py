@@ -15,11 +15,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.backend.pyloop_backend import PyLoopBackend
 from repro.core import (
     ApproxPowerCalculator,
     CandidateGenerator,
@@ -225,8 +227,8 @@ def candidate_digest(cs) -> str:
 
 
 def extraction_fingerprint(name: str, *, backend: str | None = None, workers: int = 1):
-    """Digest and counters of a scene's extraction; *backend* ``None`` takes
-    the ambient choice (``REPRO_BACKEND``, else auto)."""
+    """Digest and counters of a scene's extraction; *backend* ``None`` keeps
+    the current kernel set (numpy)."""
     metrics = MetricsRegistry()
     cs = build_candidate_set(SCENES[name](), backend=backend, workers=workers, metrics=metrics)
     counters = metrics.snapshot().counters
@@ -245,6 +247,25 @@ def test_candidate_set_digest_pyloop(name):
 
 def test_candidate_set_digest_pooled():
     assert extraction_fingerprint("cold-40", workers=2) == EXPECTED["cold-40"]
+
+
+def test_candidate_set_digest_pooled_pyloop(monkeypatch):
+    """Pooled pyloop extraction sweeps on pyloop in the workers and keeps
+    the recorded digest."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("counting worker-side calls relies on fork-inherited state")
+    calls = multiprocessing.Value("i", 0)
+    real = PyLoopBackend.sweep_coverage
+
+    def counted(self, *args):
+        with calls.get_lock():
+            calls.value += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(PyLoopBackend, "sweep_coverage", counted)
+    fingerprint = extraction_fingerprint("serve-10", backend="pyloop", workers=2)
+    assert fingerprint == EXPECTED["serve-10"]
+    assert calls.value > 0
 
 
 def _sha(points: np.ndarray) -> str:

@@ -237,17 +237,14 @@ def test_healthz_metrics_and_404(scenario_data):
         stop(server, service)
 
 
-def test_service_reports_backend_in_metrics_and_trace(scenario_data):
-    """The serve --backend choice is observable: /v1/metrics names the active
-    backend, and every job's solve span carries it."""
-    service = SolveService(pool_size=1, queue_size=4, backend="numpy").start()
+def test_service_job_trace_records_backend(scenario_data):
+    """Every job's solve span names its kernel set; /v1/metrics has no
+    backend block (there is nothing to select)."""
+    service = SolveService(pool_size=1, queue_size=4).start()
     server, client = start_server(service)
     try:
         status, metrics = client.request("GET", "/v1/metrics")
-        assert status == 200
-        assert metrics["backend"]["active"] == "numpy"
-        assert metrics["backend"]["available"]["numpy"] is True
-        assert set(metrics["backend"]["available"]) >= {"numpy", "numba", "pyloop"}
+        assert status == 200 and "backend" not in metrics
 
         status, resp = client.post_solve({"scenario": scenario_data})
         assert status == 202
@@ -259,16 +256,19 @@ def test_service_reports_backend_in_metrics_and_trace(scenario_data):
         stop(server, service)
 
 
-def test_service_default_backend_resolves_eagerly(scenario_data, monkeypatch):
-    """No explicit backend: the service pins auto's concrete choice at
-    construction; an unloadable backend fails at startup, not first job."""
-    service = SolveService(pool_size=1, queue_size=4)
-    assert service.backend_name in {"numpy", "numba"}
-    service.shutdown()
+def test_workers_above_cpu_count_is_400(scenario_data):
+    """Each extraction worker is a forked process, so one request must not
+    ask for more of them than the host has CPUs."""
+    from repro.serve.api import MAX_WORKERS
 
-    from repro.backend import BackendUnavailable
-    from repro.backend.numba_backend import NumbaBackend
-
-    monkeypatch.setattr(NumbaBackend, "available", lambda self: False)
-    with pytest.raises(BackendUnavailable, match="not available"):
-        SolveService(pool_size=1, queue_size=4, backend="numba")
+    service = SolveService(pool_size=1, queue_size=4).start()
+    server, client = start_server(service)
+    try:
+        status, resp = client.post_solve(
+            {"scenario": scenario_data, "params": {"workers": MAX_WORKERS + 1}}
+        )
+        assert status == 400 and resp["error"]["code"] == "invalid-params"
+        assert f"1 to {MAX_WORKERS}" in resp["error"]["message"]
+        assert service.queue.depth == 0 and service.queue.counts() == {}
+    finally:
+        stop(server, service)

@@ -91,3 +91,21 @@ def test_keep_alive_requests_do_not_stall(server):
         assert time.perf_counter() - t0 < 0.5
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[" * 2000 + b"]" * 2000, b'{"priority": ' + b"7" * 5000 + b"}"],
+    ids=["nested-2000", "int-5000-digits"],
+)
+def test_hostile_json_body_is_400(server, body):
+    """Deep nesting (RecursionError) and an integer literal past Python's
+    digit limit (ValueError) fail the parse, not the server."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+    try:
+        conn.request("POST", "/v1/solve", body, {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        assert reply.status == 400
+        assert json.loads(reply.read())["error"]["code"] == "invalid-json"
+    finally:
+        conn.close()
