@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hot kernels (profiling-driven; see the guides).
 
 These are the inner loops the figure harnesses spend their time in:
-line-of-sight masking, the orientation-independent coverability kernel, the
+line-of-sight masking (every pair, and only the ring-and-cone pairs as
+``coverable_many`` tests them), the orientation-independent coverability kernel, the
 Algorithm-1 sweep, candidate generation, and one full HIPO solve.
 """
 
@@ -10,6 +11,7 @@ import numpy as np
 from repro.core import CandidateGenerator, extract_pdcs_many, solve_hipo
 from repro.experiments import random_scenario
 from repro.geometry import visible_mask_many
+from repro.model import PowerEvaluator
 
 
 def _scenario(seed=1, device_multiple=4):
@@ -22,6 +24,18 @@ def bench_visible_mask(benchmark):
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 40, size=(64, 2))
     benchmark(lambda: visible_mask_many(points, ev.positions, sc.obstacles))
+
+
+def bench_los_pairs(benchmark):
+    sc = _scenario()
+    ev = sc.evaluator()
+    ct = sc.charger_types[2]
+    rng = np.random.default_rng(0)
+    points = rng.uniform(0, 40, size=(64, 2))
+    # the pairs that pass the ring and receiving-cone tests
+    no_obstacles = PowerEvaluator(ev.devices, [], ev.table, sc.charger_types)
+    pairs, _dists, _bearings = no_obstacles.coverable_many(ct, points)
+    benchmark(lambda: ev.los_mask_many(points, pairs))
 
 
 def bench_coverable_kernel(benchmark):

@@ -56,10 +56,13 @@ sh scripts/typecheck.sh
 python -m pytest -x -q
 
 # The batch intersection kernels must equal their scalar oracles bit for
-# bit, and positions and candidate sets their recorded digests: re-run
-# both modules under the Hypothesis "ci" profile (more examples; see
+# bit, the two kernel sets each other (the masked line-of-sight path
+# included), the boundary families the scalar coverability conditions,
+# and positions and candidate sets their recorded digests: re-run these
+# modules under the Hypothesis "ci" profile (more examples; see
 # tests/conftest.py).  Tier-1 above keeps the default example counts.
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
+    tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
     tests/core/test_extraction_digest.py -x -q
 
 for i in 1 2 3 4 5 6 7 8 9 10; do

@@ -1,10 +1,10 @@
 """The kernels of the extraction hot path, in two fixed sets.
 
 The candidate extraction spends nearly all of its time in three array
-kernels: the segment-blocking test behind
-:func:`~repro.geometry.visibility.visible_mask_many` (Eq. 1's line of
-sight), the exact power-law fill ``a / (d + b)**2``, and the Algorithm-1
-rotational-sweep coverage matrix.  :class:`KernelBackend` is their API,
+kernels: the segment-blocking test that
+:func:`~repro.geometry.visibility.visible_pairs` runs per obstacle
+(Eq. 1's line of sight), the exact power-law fill ``a / (d + b)**2``,
+and the Algorithm-1 rotational-sweep coverage matrix.  :class:`KernelBackend` is their API,
 implemented twice:
 
 * ``numpy`` (:mod:`.numpy_backend`) — the production kernels: broadcast

@@ -185,7 +185,9 @@ def deserialize_candidate_set(
     the scenario's own charger-type objects and the matroid capacities are
     re-derived from the scenario's *current* budgets (the one part of a
     candidate set that varies under the shared extraction key).  Without a
-    scenario the stored catalogue and capacities are used verbatim.
+    scenario the stored catalogue and capacities are used verbatim.  The
+    power matrices are read-only views into *blob*, not copies: decoding
+    allocates no matrix, and a warm solve cannot alter the cached set.
     """
     from .placement import CandidateSet
 
@@ -201,11 +203,9 @@ def deserialize_candidate_set(
         dtype = np.dtype(spec["dtype"])
         shape = tuple(int(x) for x in spec["shape"])
         nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        arrays[spec["name"]] = (
-            np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)), offset=off)
-            .reshape(shape)
-            .copy()
-        )
+        arrays[spec["name"]] = np.frombuffer(
+            blob, dtype=dtype, count=int(np.prod(shape)), offset=off
+        ).reshape(shape)
         off += nbytes
     stored_types = [
         ChargerType(d["name"], d["charging_angle"], d["dmin"], d["dmax"])

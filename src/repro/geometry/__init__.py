@@ -46,6 +46,7 @@ from .visibility import (
     obstacle_boundary_segments,
     shadow_rays,
     visible_mask_many,
+    visible_pairs,
 )
 
 __all__ = [
@@ -89,4 +90,5 @@ __all__ = [
     "triangular_grid",
     "unit_vector",
     "visible_mask_many",
+    "visible_pairs",
 ]

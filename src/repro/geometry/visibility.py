@@ -22,13 +22,14 @@ from .primitives import EPS, distance
 __all__ = [
     "line_of_sight",
     "visible_mask_many",
+    "visible_pairs",
     "shadow_rays",
     "obstacle_boundary_segments",
 ]
 
-#: Default bound on the number of (position × target) sight segments
-#: materialized per chunk by :func:`visible_mask_many`.  With ``E`` obstacle
-#: edges the peak intermediate is ``O(chunk · E)`` floats.
+#: Default bound on the number of sight segments tested per chunk by
+#: :func:`visible_pairs`.  With ``E`` obstacle edges the peak intermediate
+#: is ``O(chunk · E)`` floats.
 DEFAULT_LOS_CHUNK = 262_144
 
 
@@ -40,48 +41,50 @@ def line_of_sight(p: Sequence[float], q: Sequence[float], obstacles: Iterable[Po
     return True
 
 
-def visible_mask_many(
-    positions: np.ndarray,
-    targets: np.ndarray,
+def visible_pairs(
+    starts: np.ndarray,
+    ends: np.ndarray,
     obstacles: Sequence[Polygon],
     *,
     chunk_size: int = DEFAULT_LOS_CHUNK,
 ) -> np.ndarray:
-    """Line-of-sight masks: ``out[i, j]`` is True iff target *j* has line
-    of sight from position *i*.
+    """Line of sight per segment: ``out[k]`` is True iff the segment
+    ``starts[k] → ends[k]`` misses every obstacle.
 
-    This is the hottest geometric kernel of the candidate extraction, so
-    one broadcast covers the full ``(positions × targets × edges)``
-    crossing test per obstacle, with a bounding-box prefilter; *chunk_size*
-    caps how many (position, target) sight segments are materialized at
-    once so memory stays bounded on large candidate sets.  Semantics match
+    This is the hottest geometric kernel of the candidate extraction.  Per
+    obstacle, a bounding-box prefilter picks the segments still visible
+    that come near it, and the active kernel set's ``blocked_segments``
+    (:func:`repro.backend.active_backend`) tests those against its edges;
+    *chunk_size* caps how many segments are in flight at once so memory
+    stays bounded on large candidate sets.  Semantics match
     :func:`line_of_sight` / :meth:`Polygon.blocks_segment`: a segment is
     blocked if it properly crosses an edge or its midpoint lies strictly
-    inside (degenerate boundary-grazing midpoints use parity only — a
-    measure-zero difference).  The per-obstacle crossing test runs on the
-    active kernel set (:func:`repro.backend.active_backend`); both sets
-    return bit-identical masks.
+    inside.  A grazing segment — one that touches the boundary between its
+    endpoints, through a vertex or along an edge — is judged by its
+    midpoint's crossing parity alone, where :meth:`Polygon.blocks_segment`
+    splits it at every contact; the two can disagree on such segments
+    (``tests/model/test_boundary_families.py``).  Each segment's result
+    depends only on its own endpoints, so it does not change with the
+    chunking or with which other segments are in the batch, and both
+    kernel sets return bit-identical masks.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    pts = np.asarray(targets, dtype=float).reshape(-1, 2)
-    np_pos, n_tgt = len(pos), len(pts)
-    out = np.ones((np_pos, n_tgt), dtype=bool)
-    if np_pos == 0 or n_tgt == 0 or not obstacles:
-        return out
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    starts = np.asarray(starts, dtype=float).reshape(-1, 2)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 2)
+    if len(starts) != len(ends):
+        raise ValueError(f"{len(starts)} segment starts but {len(ends)} ends")
+    out = np.ones(len(starts), dtype=bool)
+    if not obstacles:
+        return out
     backend = active_backend()
-    rows_per_chunk = max(1, chunk_size // n_tgt)
-    for lo in range(0, np_pos, rows_per_chunk):
-        hi = min(np_pos, lo + rows_per_chunk)
-        m = hi - lo
-        starts = np.repeat(pos[lo:hi], n_tgt, axis=0)  # (m·T, 2)
-        ends = np.tile(pts, (m, 1))
-        mask = out[lo:hi].reshape(-1)  # view; updated in place
-        seg_xmin = np.minimum(starts[:, 0], ends[:, 0])
-        seg_xmax = np.maximum(starts[:, 0], ends[:, 0])
-        seg_ymin = np.minimum(starts[:, 1], ends[:, 1])
-        seg_ymax = np.maximum(starts[:, 1], ends[:, 1])
+    for lo in range(0, len(starts), chunk_size):
+        a, b = starts[lo : lo + chunk_size], ends[lo : lo + chunk_size]
+        mask = out[lo : lo + chunk_size]  # view; updated in place
+        seg_xmin = np.minimum(a[:, 0], b[:, 0])
+        seg_xmax = np.maximum(a[:, 0], b[:, 0])
+        seg_ymin = np.minimum(a[:, 1], b[:, 1])
+        seg_ymax = np.maximum(a[:, 1], b[:, 1])
         for h in obstacles:
             xmin, ymin, xmax, ymax = h.bbox
             near = (
@@ -95,9 +98,27 @@ def visible_mask_many(
             if idx.size == 0:
                 continue
             c, d, s = h.edge_arrays()  # (E, 2) edge starts / ends / directions
-            blocked = backend.blocked_segments(starts[idx], ends[idx], c, d, s)
+            blocked = backend.blocked_segments(a[idx], b[idx], c, d, s)
             mask[idx[blocked]] = False
     return out
+
+
+def visible_mask_many(
+    positions: np.ndarray,
+    targets: np.ndarray,
+    obstacles: Sequence[Polygon],
+    *,
+    chunk_size: int = DEFAULT_LOS_CHUNK,
+) -> np.ndarray:
+    """Line-of-sight masks: ``out[i, j]`` is True iff target *j* has line
+    of sight from position *i* — :func:`visible_pairs` over every
+    (position, target) segment."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    pts = np.asarray(targets, dtype=float).reshape(-1, 2)
+    starts = np.repeat(pos, len(pts), axis=0)  # (P·T, 2)
+    ends = np.tile(pts, (len(pos), 1))
+    out = visible_pairs(starts, ends, obstacles, chunk_size=chunk_size)
+    return out.reshape(len(pos), len(pts))
 
 
 def shadow_rays(

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..backend import active_backend
-from ..geometry import EPS, TWO_PI, Polygon, visible_mask_many
+from ..geometry import EPS, TWO_PI, Polygon, visible_mask_many, visible_pairs
 from .entities import Device, Strategy
 from .types import ChargerType, CoefficientTable
 
@@ -127,10 +127,24 @@ class PowerEvaluator:
             self._types[ctype.name] = ctype
         return self._per_type[ctype.name]
 
-    def los_mask_many(self, positions: np.ndarray) -> np.ndarray:
-        """Line-of-sight masks ``(positions × devices)`` in one broadcast
-        (:func:`~repro.geometry.visible_mask_many`)."""
-        return visible_mask_many(positions, self.positions, self.obstacles)
+    def los_mask_many(self, positions: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+        """Line-of-sight masks ``(positions × devices)``
+        (:func:`~repro.geometry.visible_mask_many`).
+
+        Given a ``(positions × devices)`` bool *pairs* mask, only its True
+        pairs are tested (:func:`~repro.geometry.visible_pairs`) and the
+        rest come back False: the result equals the full mask ``& pairs``.
+        """
+        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+        if pairs is None:
+            return visible_mask_many(pos, self.positions, self.obstacles)
+        shape = (len(pos), self.num_devices)
+        if pairs.shape != shape:
+            raise ValueError(f"pairs has shape {pairs.shape}, expected {shape}")
+        out = np.zeros(pairs.shape, dtype=bool)
+        i, j = np.nonzero(pairs)
+        out[i, j] = visible_pairs(pos[i], self.positions[j], self.obstacles)
+        return out
 
     def coverable(self, ctype: ChargerType, position: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orientation-independent coverability from one *position*: row 0
@@ -153,9 +167,9 @@ class PowerEvaluator:
 
         Returns ``(mask, dists, bearings)`` with shape
         ``(positions × devices)`` each.  The distance, ring and
-        receiving-cone tests are one broadcast over the whole batch; the
-        line-of-sight masks come from :meth:`los_mask_many`, for the rows
-        with any device left.
+        receiving-cone tests are one broadcast over the whole batch; line
+        of sight (:meth:`los_mask_many`) is tested only on the pairs that
+        pass them.
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
         delta = self.positions[None, :, :] - pos[:, None, :]  # (P, No, 2)
@@ -168,8 +182,7 @@ class PowerEvaluator:
             diff = np.abs(np.mod(rev - self.orientations[None, :] + math.pi, TWO_PI) - math.pi)
             mask &= diff <= self.half_angles[None, :] + EPS
         if mask.any() and self.obstacles:
-            rows = np.nonzero(mask.any(axis=1))[0]
-            mask[rows] &= self.los_mask_many(pos[rows])
+            mask = self.los_mask_many(pos, mask)
         return mask, dists, bearings
 
     def power_vector(self, strategy: Strategy) -> np.ndarray:

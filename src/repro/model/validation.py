@@ -63,36 +63,29 @@ def unreachable_devices(
 
     For each device and charger type, the receiving sector ring is sampled
     on a polar lattice; a device is *reachable* if some free sample point
-    passes every orientation-independent condition of Eq. (1).  Sampling is
-    sound-but-incomplete (a reported-unreachable device might still be
-    reachable through a sliver); it is a diagnostic, not a proof.
+    passes every orientation-independent condition of Eq. (1), tested in one
+    :meth:`~repro.model.power.PowerEvaluator.coverable_many` call per
+    (device, charger type).  Sampling is sound-but-incomplete (a
+    reported-unreachable device might still be reachable through a sliver);
+    it is a diagnostic, not a proof.
     """
     ev = scenario.evaluator()
+    types = [ct for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) != 0]
     out = []
     for j, dev in enumerate(scenario.devices):
-        reachable = False
-        for ct in scenario.charger_types:
-            if scenario.budgets.get(ct.name, 0) == 0:
-                continue
-            half = dev.dtype.half_angle
-            radii = np.linspace(ct.dmin, ct.dmax, radial_samples)
-            offsets = np.linspace(-half * 0.98, half * 0.98, angular_samples)
-            for r in radii:
-                if r <= 0:
-                    continue
-                for off in offsets:
-                    p = polar_offset(dev.position, dev.orientation + off, float(r))
-                    if not scenario.is_free(p):
-                        continue
-                    mask, _d, _b = ev.coverable(ct, p)
-                    if mask[j]:
-                        reachable = True
-                        break
-                if reachable:
-                    break
-            if reachable:
+        half = dev.dtype.half_angle
+        offsets = np.linspace(-half * 0.98, half * 0.98, angular_samples)
+        for ct in types:
+            lattice = [
+                polar_offset(dev.position, dev.orientation + off, float(r))
+                for r in np.linspace(ct.dmin, ct.dmax, radial_samples)
+                if r > 0
+                for off in offsets
+            ]
+            free = [p for p in lattice if scenario.is_free(p)]
+            if free and ev.coverable_many(ct, np.array(free))[0][:, j].any():
                 break
-        if not reachable:
+        else:
             out.append(j)
     return out
 

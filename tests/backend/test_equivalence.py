@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.backend import use_backend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.pyloop_backend import PyLoopBackend
-from repro.geometry import Polygon, rectangle, visible_mask_many
+from repro.geometry import Polygon, rectangle, visible_mask_many, visible_pairs
+from repro.geometry.visibility import DEFAULT_LOS_CHUNK
 from repro.geometry.primitives import TWO_PI
 from repro.model import (
     ChargerType,
@@ -28,6 +29,7 @@ from repro.model import (
     Device,
     DeviceType,
     PairCoefficients,
+    PowerEvaluator,
     Scenario,
 )
 
@@ -109,6 +111,49 @@ def test_visible_mask_many_bitwise_equal(numpy_backend, alt, positions, targets,
     with use_backend(alt):
         got = visible_mask_many(pos, tgt, polys, chunk_size=chunk)
     assert_bits_equal(expected, got, "visible_mask_many")
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pyloop"])
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@settings(deadline=None)
+@given(
+    positions=st.lists(point, min_size=0, max_size=6),
+    targets=st.lists(point, min_size=1, max_size=6),
+    polys=st.lists(obstacle, min_size=0, max_size=2),
+    data=st.data(),
+)
+def test_los_mask_many_pairs_bitwise_equal(backend, chunk, positions, targets, polys, data):
+    """Testing only the *pairs* gives the full mask ``& pairs``, bit for bit."""
+    pos = np.array(positions, dtype=float).reshape(-1, 2)
+    dt = DeviceType("dt", 2.0 * math.pi)
+    ev = PowerEvaluator([Device(t, 0.0, dt, 0.1) for t in targets], polys, CoefficientTable({}), [])
+    shape = (len(pos), len(targets))
+    n = shape[0] * shape[1]
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    all_false = np.zeros(shape, dtype=bool)
+    size = DEFAULT_LOS_CHUNK if chunk is None else chunk
+    full = visible_mask_many(pos, ev.positions, polys)  # numpy, default chunk: the reference
+    # los_mask_many takes no chunk size: run it at *size* through the
+    # default of the visible_pairs call it makes.
+    with use_backend(backend), pytest.MonkeyPatch.context() as mp:
+        mp.setitem(visible_pairs.__kwdefaults__, "chunk_size", size)
+        for pairs in (np.array(flags, dtype=bool).reshape(shape), all_false):
+            assert_bits_equal(full & pairs, ev.los_mask_many(pos, pairs), "los_mask_many(pairs)")
+
+
+@settings(deadline=None)
+@given(
+    segs=st.lists(st.tuples(point, point), min_size=0, max_size=16),
+    polys=st.lists(obstacle, min_size=0, max_size=2),
+    chunk=st.integers(min_value=1, max_value=16),
+)
+def test_visible_pairs_chunk_invariant(segs, polys, chunk):
+    starts = np.array([s for s, _ in segs], dtype=float).reshape(-1, 2)
+    ends = np.array([e for _, e in segs], dtype=float).reshape(-1, 2)
+    whole = visible_pairs(starts, ends, polys)
+    assert_bits_equal(whole, visible_pairs(starts, ends, polys, chunk_size=chunk), "visible_pairs")
+    with use_backend("pyloop"):
+        assert_bits_equal(whole, visible_pairs(starts, ends, polys, chunk_size=chunk), "pyloop")
 
 
 # Bearings on an exact lattice of angles so cone boundaries are grazed.

@@ -84,6 +84,16 @@ def test_deserialize_rebinds_to_scenario():
     assert cs.capacities == [4]
 
 
+def test_deserialized_power_matrices_are_read_only_views_of_the_blob():
+    blob = serialize_candidate_set(build_candidate_set(scenario()))
+    cs = deserialize_candidate_set(blob)
+    for arr in (cs.approx_power, cs.exact_power):
+        assert not arr.flags.writeable  # a warm solve cannot alter the cached set
+        assert np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+    with pytest.raises(ValueError, match="read-only"):
+        cs.approx_power[0, 0] = 1.0
+
+
 def test_deserialize_rejects_garbage_and_unknown_types():
     with pytest.raises(ValueError, match="bad magic"):
         deserialize_candidate_set(b"not a blob")

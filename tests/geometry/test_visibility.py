@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import (
@@ -13,6 +14,7 @@ from repro.geometry import (
     rectangle,
     shadow_rays,
     visible_mask_many,
+    visible_pairs,
 )
 
 coords = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -126,3 +128,33 @@ def test_visible_mask_many_empty_inputs():
     obs = [rectangle(0, 0, 1, 1)]
     assert visible_mask_many(np.zeros((0, 2)), np.ones((4, 2)), obs).shape == (0, 4)
     assert visible_mask_many(np.zeros((3, 2)), np.zeros((0, 2)), obs).shape == (3, 0)
+
+
+def test_visible_pairs_matches_line_of_sight():
+    obs = [rectangle(3, 3, 5, 5), Polygon([(7, 1), (9, 1), (8, 3)])]
+    rng = np.random.default_rng(11)
+    starts = rng.uniform(0.0, 10.0, size=(60, 2))
+    ends = rng.uniform(0.0, 10.0, size=(60, 2))
+    out = visible_pairs(starts, ends, obs)
+    assert out.shape == (60,) and out.dtype == bool
+    assert out.tolist() == [line_of_sight(a, b, obs) for a, b in zip(starts, ends)]
+    assert not out.all() and out.any()
+    for chunk in (1, 7, 59):
+        assert np.array_equal(out, visible_pairs(starts, ends, obs, chunk_size=chunk))
+
+
+def test_visible_pairs_rejects_mismatched_endpoints():
+    with pytest.raises(ValueError, match="3 segment starts but 2 ends"):
+        visible_pairs(np.zeros((3, 2)), np.zeros((2, 2)), [])
+
+
+def test_chunk_size_validated_before_any_shortcut():
+    obs = [rectangle(0, 0, 1, 1)]
+    for fn in (visible_pairs, visible_mask_many):
+        for args in (
+            (np.zeros((3, 2)), np.ones((3, 2)), []),  # no obstacles
+            (np.zeros((0, 2)), np.zeros((0, 2)), obs),  # empty inputs
+            (np.zeros((3, 2)), np.ones((3, 2)), obs),
+        ):
+            with pytest.raises(ValueError, match="chunk_size must be positive"):
+                fn(*args, chunk_size=0)

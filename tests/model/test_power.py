@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import use_backend
 from repro.geometry import line_of_sight, point_segment_distance, rectangle
 from repro.model import (
     ChargerType,
@@ -217,3 +218,51 @@ def test_los_mask_many_rows_match_single_positions():
     for i, p in enumerate(positions):
         assert np.array_equal(batch[i], ev.los_mask_many(p[None])[0])
     assert batch[0].tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pyloop"])
+def test_los_mask_many_pairs_is_full_mask_and_pairs(backend):
+    obs = [rectangle(1.0, -0.5, 2.0, 0.5), rectangle(-3.0, 1.0, -2.0, 4.0)]
+    devices = [dev((3.0, 0.0)), dev((0.0, 3.0)), dev((-4.0, 2.5)), dev((1.5, 1.0))]
+    rng = np.random.default_rng(9)
+    positions = rng.uniform(-6.0, 6.0, size=(30, 2))
+    pairs = rng.random((30, 4)) < 0.5
+    for ev in (PowerEvaluator(devices, obs, TABLE, [CT]), PowerEvaluator(devices, [], TABLE, [CT])):
+        with use_backend(backend):
+            full = ev.los_mask_many(positions)
+            assert np.array_equal(ev.los_mask_many(positions, pairs), full & pairs)
+            none = np.zeros_like(pairs)
+            assert not ev.los_mask_many(positions, none).any()
+            assert ev.los_mask_many(np.zeros((0, 2)), np.zeros((0, 4), dtype=bool)).shape == (0, 4)
+    assert not PowerEvaluator(devices, obs, TABLE, [CT]).los_mask_many(positions).all()
+
+
+def test_los_mask_many_rejects_misshaped_pairs():
+    ev = PowerEvaluator([dev((3.0, 0.0))], [rectangle(1.0, -0.5, 2.0, 0.5)], TABLE, [CT])
+    with pytest.raises(ValueError, match="expected"):
+        ev.los_mask_many(np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
+
+
+def test_coverable_many_tests_line_of_sight_only_on_ring_and_cone_pairs(monkeypatch):
+    import repro.model.power as power_mod
+
+    obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
+    devices = [
+        dev((3.0, 0.0)),
+        dev((0.0, 3.0), orient=math.pi / 4.0, dtype=DT_NARROW),
+        dev((-4.0, -1.0)),
+    ]
+    positions = np.random.default_rng(4).uniform(-6.0, 6.0, size=(50, 2))
+    tested = []
+    visible_pairs = power_mod.visible_pairs
+
+    def spy(starts, ends, obstacles, **kw):
+        tested.append(len(starts))
+        return visible_pairs(starts, ends, obstacles, **kw)
+
+    monkeypatch.setattr(power_mod, "visible_pairs", spy)
+    mask, _d, _b = PowerEvaluator(devices, obs, TABLE, [CT]).coverable_many(CT, positions)
+    ring_and_cone, _d, _b = PowerEvaluator(devices, [], TABLE, [CT]).coverable_many(CT, positions)
+    assert tested == [int(ring_and_cone.sum())]
+    assert 0 < mask.sum() < ring_and_cone.sum()
+    assert not (mask & ~ring_and_cone).any()
