@@ -21,8 +21,8 @@ sets, cache keys and solutions do not depend on the set (asserted by
 extraction-reuse cache key deliberately does *not* fold the set in.
 
 The set in use is one context variable: numpy unless a caller scopes
-another with :func:`use_backend` (``solve_hipo(backend="pyloop")`` does;
-the extraction pool's initializer sets it once per worker process).
+another with :func:`use_backend` (``with use_backend("pyloop"):``; the
+extraction pool's initializer sets it once per worker process).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class KernelBackend(ABC):
     independent of the set.
     """
 
-    #: The name ``solve_hipo(backend=...)`` and the pool initializer use.
+    #: The name :func:`use_backend` and the pool initializer take.
     name: str = ""
 
     @abstractmethod
@@ -69,9 +69,9 @@ class KernelBackend(ABC):
 
         *edge_starts* / *edge_ends* / *edge_dirs* are the polygon's
         ``(E, 2)`` edge arrays (:meth:`repro.geometry.Polygon.edge_arrays`).
-        A segment is blocked when it properly crosses an edge, or — for
-        grazing segments — when its midpoint lies strictly inside by the
-        even-odd parity test.  Returns an ``(m,)`` bool array.
+        A segment is blocked iff some point of the open segment lies
+        strictly inside the polygon (DESIGN.md §6, item 12); touching the
+        boundary does not block.  Returns an ``(m,)`` bool array.
         """
 
     @abstractmethod

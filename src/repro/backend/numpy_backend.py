@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ..geometry.primitives import EPS, TWO_PI
+from ..geometry.segments import on_segment_mask
 from . import KernelBackend
 
 __all__ = ["NumpyBackend"]
@@ -40,8 +41,12 @@ def _blocked_segments(
     d: np.ndarray,
     s: np.ndarray,
 ) -> np.ndarray:
-    """Proper-crossing test of every sight segment against every edge, with
-    the parity (midpoint-inside) fallback for grazing segments."""
+    """Whether some point of each open sight segment lies strictly inside
+    the polygon with edges ``(c[k], d[k])`` (DESIGN.md §6, item 12).
+
+    A proper crossing of any edge blocks.  Otherwise a segment with no
+    vertex on its line (``|d1| <= EPS``) stays on one side of the
+    boundary and its midpoint's parity decides; the rest are split."""
     r = ends - starts  # (m, 2) segment directions
     cs = c[None, :, :] - starts[:, None, :]  # (m, E, 2)
     ds = d[None, :, :] - starts[:, None, :]
@@ -61,7 +66,40 @@ def _blocked_segments(
     if free.size:
         mids = (starts[free] + ends[free]) / 2.0
         blocked[free] = _parity_inside(c, d, mids)
+        k = free[(np.abs(d1[free]) <= EPS).any(axis=1)]
+        if k.size:
+            blocked[k] = _split_blocked(starts[k], r[k], cs[k], d1[k], d3[k], d4[k], c, d)
     return blocked
+
+
+def _split_blocked(
+    a: np.ndarray,
+    r: np.ndarray,
+    cs: np.ndarray,
+    d1: np.ndarray,
+    d3: np.ndarray,
+    d4: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+) -> np.ndarray:
+    """Segments ``a → a + r`` that cross no edge properly, cut strictly
+    between their endpoints where they meet an edge's line and at the
+    vertices on their own line (the ends of any edge they run along).  A
+    piece then lies inside, outside or on the boundary as a whole: blocked
+    iff some piece's midpoint has odd parity and is not on the boundary."""
+    rr = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_vertex = (cs[..., 0] * r[:, None, 0] + cs[..., 1] * r[:, None, 1]) / rr[:, None]
+        t_edge = d3 / (d3 - d4)
+    t = np.concatenate([np.where(np.abs(d1) <= EPS, t_vertex, np.nan), t_edge], axis=1)
+    cuts = np.where((t > 0.0) & (t < 1.0), t, np.nan)
+    ends = np.broadcast_to([0.0, 1.0], (len(a), 2))
+    ts = np.sort(np.concatenate([ends, cuts], axis=1), axis=1)  # NaN sorts last
+    tm = (ts[:, :-1] + ts[:, 1:]) / 2.0  # piece midpoints; NaN past the last piece
+    pts = (a[:, None, :] + tm[..., None] * r[:, None, :]).reshape(-1, 2)
+    on = on_segment_mask(pts[:, 0:1], pts[:, 1:2], c[:, 0], c[:, 1], d[:, 0], d[:, 1])
+    inside = _parity_inside(c, d, pts) & ~on.any(axis=1)
+    return inside.reshape(len(a), -1).any(axis=1)
 
 
 class NumpyBackend(KernelBackend):

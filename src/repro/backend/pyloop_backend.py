@@ -35,7 +35,8 @@ def _blocked_segments(
     """Scalar-loop twin of ``numpy_backend._blocked_segments``.
 
     Per segment: proper-crossing test against each edge with early exit,
-    then the even-odd midpoint parity fallback for grazing segments.
+    then the midpoint parity, or the split into pieces when a vertex lies
+    on the segment's line.
     """
     m = starts.shape[0]
     n_edges = c.shape[0]
@@ -46,6 +47,7 @@ def _blocked_segments(
         rx = ends[k, 0] - sx
         ry = ends[k, 1] - sy
         blocked = False
+        on_line = []  # vertices (edge starts) on the segment's line
         for e in range(n_edges):
             csx = c[e, 0] - sx
             csy = c[e, 1] - sy
@@ -53,6 +55,8 @@ def _blocked_segments(
             dsy = d[e, 1] - sy
             d1 = rx * csy - ry * csx
             d2 = rx * dsy - ry * dsx
+            if abs(d1) <= EPS:
+                on_line.append(e)
             if not ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)):
                 continue
             d3 = s[e, 0] * (sy - c[e, 1]) - s[e, 1] * (sx - c[e, 0])
@@ -60,21 +64,56 @@ def _blocked_segments(
             if (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS):
                 blocked = True
                 break
-        if not blocked:
-            # Grazing segment: blocked iff the midpoint is inside (parity).
-            mx = (sx + ends[k, 0]) / 2.0
-            my = (sy + ends[k, 1]) / 2.0
-            crossings = 0
+        if not blocked and not on_line:
+            blocked = _odd_parity(c, d, (sx + ends[k, 0]) / 2.0, (sy + ends[k, 1]) / 2.0)
+        elif not blocked:
+            rr = rx * rx + ry * ry
+            ts = [0.0, 1.0]
+            for e in on_line if rr > 0.0 else ():
+                t = ((c[e, 0] - sx) * rx + (c[e, 1] - sy) * ry) / rr
+                if 0.0 < t < 1.0:
+                    ts.append(t)
             for e in range(n_edges):
-                if (c[e, 1] > my) != (d[e, 1] > my):
-                    x_cross = (d[e, 0] - c[e, 0]) * (my - c[e, 1]) / (
-                        d[e, 1] - c[e, 1]
-                    ) + c[e, 0]
-                    if mx < x_cross:
-                        crossings += 1
-            blocked = crossings % 2 == 1
+                d3 = s[e, 0] * (sy - c[e, 1]) - s[e, 1] * (sx - c[e, 0])
+                d4 = s[e, 0] * (ends[k, 1] - c[e, 1]) - s[e, 1] * (ends[k, 0] - c[e, 0])
+                if d3 != d4 and 0.0 < d3 / (d3 - d4) < 1.0:
+                    ts.append(d3 / (d3 - d4))
+            ts.sort()
+            for t0, t1 in zip(ts, ts[1:]):
+                tm = (t0 + t1) / 2.0
+                px = sx + tm * rx
+                py = sy + tm * ry
+                if _odd_parity(c, d, px, py) and not _on_boundary(c, d, px, py):
+                    blocked = True
+                    break
         out[k] = blocked
     return out
+
+
+def _odd_parity(c: np.ndarray, d: np.ndarray, x: float, y: float) -> bool:
+    """Even-odd point-in-polygon test of ``(x, y)`` (no boundary test)."""
+    crossings = 0
+    for e in range(c.shape[0]):
+        if (c[e, 1] > y) != (d[e, 1] > y):
+            x_cross = (d[e, 0] - c[e, 0]) * (y - c[e, 1]) / (d[e, 1] - c[e, 1]) + c[e, 0]
+            if x < x_cross:
+                crossings += 1
+    return crossings % 2 == 1
+
+
+def _on_boundary(c: np.ndarray, d: np.ndarray, x: float, y: float) -> bool:
+    """Whether ``(x, y)`` lies on some edge: ``on_segment_mask`` at ``EPS``,
+    one edge at a time."""
+    for e in range(c.shape[0]):
+        abx = d[e, 0] - c[e, 0]
+        aby = d[e, 1] - c[e, 1]
+        apx = x - c[e, 0]
+        apy = y - c[e, 1]
+        scaled = EPS * max(1.0, abs(abx) + abs(aby))
+        t = apx * abx + apy * aby
+        if abs(abx * apy - aby * apx) <= scaled and -scaled <= t <= abx * abx + aby * aby + scaled:
+            return True
+    return False
 
 
 def _power_fill_1d(a: np.ndarray, b: np.ndarray, dists: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from ..backend import use_backend
+from ..backend import active_backend
 from ..model.entities import Strategy
 from ..model.network import Scenario
 from ..model.utility import total_utility
@@ -131,17 +131,15 @@ def build_candidate_set(
     generator: CandidateGenerator | None = None,
     positions_by_type: dict[str, np.ndarray] | None = None,
     workers: int | None = None,
-    backend: str | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     cancel=None,
 ) -> CandidateSet:
     """Run candidate extraction + PDCS sweeps and assemble the power matrices.
 
-    *backend* names the kernel set for the hot kernels (``"numpy"``, the
-    ``"pyloop"`` reference, or ``None`` for the current one — see
-    :mod:`repro.backend`); pool workers inherit it, and both sets produce
-    byte-identical candidate sets.
+    The hot kernels run on the active kernel set
+    (:func:`~repro.backend.use_backend`); pool workers inherit it, and both
+    sets produce byte-identical candidate sets.
 
     *cancel* is a cooperative cancellation token (``is_set() -> bool``,
     e.g. ``threading.Event``) polled between per-device position tasks and
@@ -221,8 +219,8 @@ def build_candidate_set(
 
     active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
     pooled = nworkers > 1 and type(gen) is CandidateGenerator and bool(active)
-    with use_backend(backend) as bk, trace.span(
-        "extraction", workers=nworkers, backend=bk.name
+    with trace.span(
+        "extraction", workers=nworkers, backend=active_backend().name
     ) as ext_sp, (
         extraction_pool(gen, nworkers) if pooled else contextlib.nullcontext()
     ) as pool:
@@ -337,7 +335,6 @@ def solve_hipo(
     positions_by_type: dict[str, np.ndarray] | None = None,
     keep_candidates: bool = False,
     workers: int | None = None,
-    backend: str | None = None,
     candidate_cache: CandidateSetCache | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -345,12 +342,10 @@ def solve_hipo(
 ) -> HIPOSolution:
     """Solve a HIPO instance end to end (the paper's full algorithm).
 
-    *backend* selects the kernel set for the extraction hot path
-    (``"numpy"``, the ``"pyloop"`` reference, or ``None`` for the current
-    one; see :mod:`repro.backend`).  The sets are bit-identical by
-    contract, so the choice affects wall-clock only — never the placement,
-    the utilities or the candidate-cache keys.  Its name is stamped on the
-    ``solve`` and ``extraction`` trace spans.
+    The extraction runs on the active kernel set (:mod:`repro.backend`);
+    the sets are bit-identical, so placements, utilities and cache keys do
+    not depend on it.  Its name is stamped on the ``solve`` and
+    ``extraction`` trace spans.
 
     Returns a :class:`HIPOSolution`; ``utility`` is the exact objective of
     Eq. (4) for the selected strategies.  ``workers > 1`` runs the candidate
@@ -380,13 +375,14 @@ def solve_hipo(
     """
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
-    with use_backend(backend) as bk, trace.span(
+    backend = active_backend().name
+    with trace.span(
         "solve",
         devices=scenario.num_devices,
         chargers=scenario.num_chargers,
         eps=eps,
         workers=max(1, int(workers or 1)),
-        backend=bk.name,
+        backend=backend,
     ) as root_sp:
         t0 = time.perf_counter()
         cache = candidate_cache if candidate_cache is not None else active_candidate_cache()
@@ -397,7 +393,7 @@ def solve_hipo(
             candidates = cache.get(cache_key, scenario)
         if candidates is not None:
             with trace.span(
-                "extraction", workers=max(1, int(workers or 1)), cached=True, backend=bk.name
+                "extraction", workers=max(1, int(workers or 1)), cached=True, backend=backend
             ) as ext_sp:
                 ext_sp.set(
                     positions=sum(candidates.positions_per_type.values()),

@@ -25,7 +25,6 @@ from .primitives import (
     distance,
     distances,
     dot2,
-    is_close_point,
     normalize_angle,
     polar_offset,
     rotate,
@@ -39,7 +38,6 @@ from .segments import (
     point_segment_distance,
     segment_intersection,
     segment_points,
-    segments_properly_intersect,
 )
 from .visibility import (
     line_of_sight,
@@ -70,7 +68,6 @@ __all__ = [
     "dot2",
     "grid_length_for_radius",
     "inscribed_angle_arc_centers",
-    "is_close_point",
     "line_of_sight",
     "normalize_angle",
     "obstacle_boundary_segments",
@@ -83,7 +80,6 @@ __all__ = [
     "rotate",
     "segment_intersection",
     "segment_points",
-    "segments_properly_intersect",
     "shadow_rays",
     "signed_angle_diff",
     "square_grid",

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .primitives import EPS, cross2
-from .segments import on_segment_mask, point_segment_distance, segments_properly_intersect
+from .segments import on_segment_mask, point_segment_distance
 
 __all__ = ["Polygon", "PolygonSet", "convex_hull", "regular_polygon", "rectangle"]
 
@@ -148,37 +148,6 @@ class Polygon:
             ).any()
         )
 
-    def blocks_segment(self, a: Sequence[float], b: Sequence[float]) -> bool:
-        """Whether segment ``ab`` is blocked by this obstacle.
-
-        The paper's condition ``s_i o_j ∩ h_k = ∅`` requires the open segment
-        between charger and device not to meet the obstacle's interior.
-        Strict proper crossings of any edge always block.  Degenerate
-        segments — through a vertex, or collinear along an edge — have no
-        proper crossing, so the segment is split at every boundary
-        intersection and blocked iff some sub-interval midpoint is strictly
-        inside (a single whole-segment midpoint misses diagonal
-        corner-to-corner passes whose midpoint lands on or outside the
-        boundary).
-        """
-        xmin, ymin, xmax, ymax = self._bbox
-        if max(a[0], b[0]) < xmin - EPS or min(a[0], b[0]) > xmax + EPS:
-            return False
-        if max(a[1], b[1]) < ymin - EPS or min(a[1], b[1]) > ymax + EPS:
-            return False
-        for c, d in self.edges():
-            if segments_properly_intersect(a, b, c, d):
-                return True
-        ts = _boundary_parameters(self, a, b)
-        for t0, t1 in zip(ts, ts[1:]):
-            if t1 - t0 <= EPS:
-                continue
-            tm = (t0 + t1) / 2.0
-            mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-            if self.contains(mid, include_boundary=False):
-                return True
-        return False
-
     def distance_to_point(self, p: Sequence[float]) -> float:
         """Distance from *p* to the polygon (0 inside)."""
         if self.contains(p):
@@ -271,36 +240,6 @@ def _parity_and_boundary(
         crossing = ((yi > y) != (yj > y)) & (x < x_cross)
     on = on_segment_mask(x, y, xj, yj, xi, yi).any(axis=1)
     return crossing.sum(axis=1) % 2 == 1, on
-
-
-def _boundary_parameters(poly: Polygon, a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Sorted parameters ``t`` where ``a + t(b - a)`` meets *poly*'s boundary.
-
-    Always includes 0 and 1, so consecutive pairs delimit the maximal
-    sub-intervals of ``ab`` that stay on one side of the boundary.  Collinear
-    edges contribute their endpoints' projections (the edge itself cuts the
-    segment into an on-boundary stretch).
-    """
-    r = (b[0] - a[0], b[1] - a[1])
-    rr = r[0] * r[0] + r[1] * r[1]
-    ts = {0.0, 1.0}
-    if rr < EPS * EPS:
-        return sorted(ts)
-    for c, d in poly.edges():
-        s = (d[0] - c[0], d[1] - c[1])
-        denom = cross2(r, s)
-        ac = (c[0] - a[0], c[1] - a[1])
-        if abs(denom) >= EPS:
-            t = cross2(ac, s) / denom
-            u = cross2(ac, r) / denom
-            if -EPS <= t <= 1.0 + EPS and -EPS <= u <= 1.0 + EPS:
-                ts.add(min(1.0, max(0.0, t)))
-        elif abs(cross2(r, ac)) < EPS:
-            for p in (c, d):
-                t = ((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / rr
-                if -EPS <= t <= 1.0 + EPS:
-                    ts.add(min(1.0, max(0.0, t)))
-    return sorted(ts)
 
 
 def _signed_area(verts: np.ndarray) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "polar_offset",
     "cross2",
     "dot2",
-    "is_close_point",
     "dedupe_points",
 ]
 
@@ -125,11 +124,6 @@ def cross2(u: Sequence[float], v: Sequence[float]) -> float:
 def dot2(u: Sequence[float], v: Sequence[float]) -> float:
     """Dot product of planar vectors."""
     return u[0] * v[0] + u[1] * v[1]
-
-
-def is_close_point(p: Sequence[float], q: Sequence[float], *, tol: float = 1e-7) -> bool:
-    """Whether two points coincide up to *tol* (Chebyshev metric)."""
-    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
 
 
 def dedupe_points(points: np.ndarray, *, tol: float = 1e-7) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .primitives import EPS, cross2
+from .primitives import EPS
 
 __all__ = [
     "on_segment_mask",
@@ -25,7 +25,6 @@ __all__ = [
     "point_segment_distance",
     "segment_intersection",
     "segment_points",
-    "segments_properly_intersect",
 ]
 
 ArrayLike = np.ndarray | float
@@ -119,19 +118,6 @@ def segment_intersection(
         float(c[0]), float(c[1]), float(d[0]), float(d[1]),
     )
     return pts if ok else None
-
-
-def segments_properly_intersect(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> bool:
-    """Whether open segments ``ab`` and ``cd`` cross at a single interior point."""
-    d1 = cross2((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
-    d2 = cross2((b[0] - a[0], b[1] - a[1]), (d[0] - a[0], d[1] - a[1]))
-    d3 = cross2((d[0] - c[0], d[1] - c[1]), (a[0] - c[0], a[1] - c[1]))
-    d4 = cross2((d[0] - c[0], d[1] - c[1]), (b[0] - c[0], b[1] - c[1]))
-    return ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)) and (
-        (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS)
-    )
 
 
 def point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:

@@ -34,11 +34,9 @@ DEFAULT_LOS_CHUNK = 262_144
 
 
 def line_of_sight(p: Sequence[float], q: Sequence[float], obstacles: Iterable[Polygon]) -> bool:
-    """Whether the segment ``pq`` avoids every obstacle."""
-    for h in obstacles:
-        if h.blocks_segment(p, q):
-            return False
-    return True
+    """Whether the segment ``pq`` avoids every obstacle: a one-row
+    :func:`visible_pairs`."""
+    return bool(visible_pairs(np.asarray(p, float), np.asarray(q, float), list(obstacles))[0])
 
 
 def visible_pairs(
@@ -56,17 +54,12 @@ def visible_pairs(
     that come near it, and the active kernel set's ``blocked_segments``
     (:func:`repro.backend.active_backend`) tests those against its edges;
     *chunk_size* caps how many segments are in flight at once so memory
-    stays bounded on large candidate sets.  Semantics match
-    :func:`line_of_sight` / :meth:`Polygon.blocks_segment`: a segment is
-    blocked if it properly crosses an edge or its midpoint lies strictly
-    inside.  A grazing segment — one that touches the boundary between its
-    endpoints, through a vertex or along an edge — is judged by its
-    midpoint's crossing parity alone, where :meth:`Polygon.blocks_segment`
-    splits it at every contact; the two can disagree on such segments
-    (``tests/model/test_boundary_families.py``).  Each segment's result
-    depends only on its own endpoints, so it does not change with the
-    chunking or with which other segments are in the batch, and both
-    kernel sets return bit-identical masks.
+    stays bounded on large candidate sets.  A segment is blocked iff some
+    point of the open segment lies strictly inside an obstacle (DESIGN.md
+    §6): grazing along an edge or through a vertex does not block.  Each
+    segment's result depends only on its own endpoints, so it does not
+    change with the chunking or with which other segments are in the
+    batch, and both kernel sets return bit-identical masks.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..backend import active_backend
-from ..geometry import EPS, TWO_PI, Polygon, visible_mask_many, visible_pairs
+from ..geometry import EPS, TWO_PI, Polygon, line_of_sight, visible_mask_many, visible_pairs
 from .entities import Device, Strategy
 from .types import ChargerType, CoefficientTable
 
@@ -60,9 +60,8 @@ def pair_power(
     bearing_os = math.atan2(sy - oy, sx - ox)
     if _angdiff(bearing_os, device.orientation) > device.dtype.half_angle + EPS:
         return 0.0
-    for h in obstacles:
-        if h.blocks_segment(strategy.position, device.position):
-            return 0.0
+    if not line_of_sight(strategy.position, device.position, obstacles):
+        return 0.0
     coeff = table.get(ct, device.dtype)
     return coeff.a / (d + coeff.b) ** 2
 

@@ -8,27 +8,34 @@ all obstacle vertices, edges join mutually visible nodes weighted by
 Euclidean length; shortest paths in this graph are shortest obstacle-free
 paths in the plane (for polygonal obstacles).
 
-Built on :mod:`networkx` for the graph algorithms and on
-:mod:`repro.geometry` for the visibility predicate.
+Built on :mod:`repro.geometry`'s batched line of sight (one call for the
+skeleton, one per query for the terminals) and a :mod:`heapq` Dijkstra.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
-from ..geometry import EPS, Polygon, line_of_sight
+from ..geometry import EPS, Polygon, line_of_sight, visible_mask_many
 
 __all__ = ["VisibilityGraph", "shortest_path_length", "path_length_matrix"]
 
+Point = tuple[float, float]
 
-def _offset_vertices(obstacles: Sequence[Polygon], margin: float) -> list[tuple[float, float]]:
+
+def _length(p: Sequence[float], q: Sequence[float]) -> float:
+    return float(np.hypot(q[0] - p[0], q[1] - p[1]))
+
+
+def _offset_vertices(obstacles: Sequence[Polygon], margin: float) -> list[Point]:
     """Obstacle vertices pushed slightly outward so path corners clear the
     boundary (grazing segments along edges are not 'blocked', but a small
     margin keeps the geometry robust)."""
-    out: list[tuple[float, float]] = []
+    out: list[Point] = []
     for h in obstacles:
         centroid = h.centroid()
         for v in h.vertices:
@@ -51,20 +58,19 @@ class VisibilityGraph:
 
     def __init__(self, obstacles: Sequence[Polygon], *, margin: float = 1e-6):
         self.obstacles = list(obstacles)
-        self._graph = nx.Graph()
         self._vertices = _offset_vertices(self.obstacles, margin)
-        for i, p in enumerate(self._vertices):
-            self._graph.add_node(("v", i), pos=p)
-        for i in range(len(self._vertices)):
-            for j in range(i + 1, len(self._vertices)):
-                a, b = self._vertices[i], self._vertices[j]
-                if line_of_sight(a, b, self.obstacles):
-                    self._graph.add_edge(("v", i), ("v", j), weight=float(np.hypot(b[0] - a[0], b[1] - a[1])))
+        #: vertex index -> [(neighbour index, edge length)]
+        self._adj: list[list[tuple[int, float]]] = [[] for _ in self._vertices]
+        visible = visible_mask_many(self._vertices, self._vertices, self.obstacles)
+        for i, j in zip(*np.nonzero(np.triu(visible, k=1))):
+            w = _length(self._vertices[i], self._vertices[j])
+            self._adj[i].append((int(j), w))
+            self._adj[j].append((int(i), w))
 
     @property
     def skeleton_size(self) -> tuple[int, int]:
         """(nodes, edges) of the obstacle-vertex skeleton."""
-        return self._graph.number_of_nodes(), self._graph.number_of_edges()
+        return len(self._adj), sum(map(len, self._adj)) // 2
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         """Length of the shortest obstacle-free path from *a* to *b*.
@@ -72,43 +78,50 @@ class VisibilityGraph:
         Returns ``inf`` when no path exists (a terminal sealed inside an
         obstacle pocket).
         """
-        a = (float(a[0]), float(a[1]))
-        b = (float(b[0]), float(b[1]))
-        if line_of_sight(a, b, self.obstacles):
-            return float(np.hypot(b[0] - a[0], b[1] - a[1]))
-        g = self._graph.copy()
-        for label, p in (("s", a), ("t", b)):
-            g.add_node(label, pos=p)
-            for i, v in enumerate(self._vertices):
-                if line_of_sight(p, v, self.obstacles):
-                    g.add_edge(label, ("v", i), weight=float(np.hypot(v[0] - p[0], v[1] - p[1])))
-        try:
-            return float(nx.shortest_path_length(g, "s", "t", weight="weight"))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return float("inf")
+        return self._route(a, b)[0]
 
-    def path(self, a: Sequence[float], b: Sequence[float]) -> list[tuple[float, float]]:
-        """The shortest obstacle-free polyline from *a* to *b* (inclusive)."""
-        a = (float(a[0]), float(a[1]))
-        b = (float(b[0]), float(b[1]))
-        if line_of_sight(a, b, self.obstacles):
-            return [a, b]
-        g = self._graph.copy()
-        for label, p in (("s", a), ("t", b)):
-            g.add_node(label, pos=p)
-            for i, v in enumerate(self._vertices):
-                if line_of_sight(p, v, self.obstacles):
-                    g.add_edge(label, ("v", i), weight=float(np.hypot(v[0] - p[0], v[1] - p[1])))
-        nodes = nx.shortest_path(g, "s", "t", weight="weight")
-        out = []
-        for n in nodes:
-            if n == "s":
-                out.append(a)
-            elif n == "t":
-                out.append(b)
-            else:
-                out.append(self._vertices[n[1]])
-        return out
+    def path(self, a: Sequence[float], b: Sequence[float]) -> list[Point]:
+        """The shortest obstacle-free polyline from *a* to *b* (inclusive);
+        :class:`ValueError` when there is none."""
+        waypoints = self._route(a, b)[1]
+        if not waypoints:
+            raise ValueError(f"no obstacle-free path from {a} to {b}")
+        return waypoints
+
+    def _route(self, a: Sequence[float], b: Sequence[float]) -> tuple[float, list[Point]]:
+        """Dijkstra over the skeleton plus the terminals *a* and *b*:
+        ``(length, waypoints)``, or ``(inf, [])`` when *b* is unreachable."""
+        pa = (float(a[0]), float(a[1]))
+        pb = (float(b[0]), float(b[1]))
+        if line_of_sight(pa, pb, self.obstacles):
+            return _length(pa, pb), [pa, pb]
+        points = self._vertices + [pa, pb]
+        source, target = len(points) - 2, len(points) - 1
+        adj = [list(edges) for edges in self._adj] + [[], []]
+        seen = visible_mask_many([pa, pb], self._vertices, self.obstacles)
+        for node, row in ((source, seen[0]), (target, seen[1])):
+            for i in np.flatnonzero(row):
+                w = _length(points[node], points[i])
+                adj[node].append((int(i), w))
+                adj[i].append((node, w))
+        dist = {source: 0.0}
+        prev: dict[int, int] = {}
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == target:
+                route = [target]
+                while route[-1] != source:
+                    route.append(prev[route[-1]])
+                return d, [points[k] for k in reversed(route)]
+            if d > dist[u]:
+                continue  # a stale entry: u was reached more cheaply since
+            for v, w in adj[u]:
+                if d + w < dist.get(v, math.inf):
+                    dist[v] = d + w
+                    prev[v] = u
+                    heapq.heappush(heap, (d + w, v))
+        return math.inf, []
 
 
 def shortest_path_length(

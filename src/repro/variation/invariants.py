@@ -36,6 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..backend import use_backend
 from ..core.placement import HIPOSolution, solve_hipo
 from ..core.reuse import CandidateSetCache
 from ..geometry import rectangle
@@ -225,10 +226,10 @@ def warm_cold(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolati
 def cross_impl(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolation | None:
     """The numpy and pyloop backends must agree."""
     s = varied.scenario
-    solutions = {
-        "numpy": ctx.solve(s, backend="numpy"),
-        "pyloop": ctx.solve(s, backend="pyloop"),
-    }
+    solutions = {}
+    for name in ("numpy", "pyloop"):
+        with use_backend(name):
+            solutions[name] = ctx.solve(s)
     keys = {name: _placement_key(sol) for name, sol in solutions.items()}
     utils = {name: float(sol.approx_utility) for name, sol in solutions.items()}
     if len(set(keys.values())) != 1 or len(set(utils.values())) != 1:

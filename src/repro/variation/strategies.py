@@ -26,12 +26,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..geometry import line_of_sight
 from ..model import Scenario
-from .families import FAMILIES, ScenarioFamily, VariedScenario, get_family
+from .families import ScenarioFamily, VariedScenario, get_family
 
 __all__ = [
     "STRATEGIES",
-    "all_family_names",
     "case_seed",
     "generate_corpus",
     "grid_cases",
@@ -101,10 +101,11 @@ def nudge_obstacle(
 
     Probes each device's sight segment to the region center and walks the
     first obstacle toward (or, if already blocking, away from) the segment
-    midpoint in *step*-sized increments until :meth:`Polygon.blocks_segment`
-    changes truth value.  Returns the mutated scenario at the flip point,
-    or ``None`` when no nudge within ``max_steps`` flips any pairing —
-    callers fall back to the unmutated base case.
+    midpoint in *step*-sized increments until the segment's
+    :func:`~repro.geometry.line_of_sight` past that obstacle changes truth
+    value.  Returns the mutated scenario at the flip point, or ``None``
+    when no nudge within ``max_steps`` flips any pairing — callers fall
+    back to the unmutated base case.
     """
     s = varied.scenario
     if not s.obstacles or not s.devices:
@@ -123,7 +124,7 @@ def nudge_obstacle(
             if norm < 1e-9:
                 continue
             dx, dy = dx / norm * step, dy / norm * step
-            was_blocked = obstacle.blocks_segment(a, center)
+            was_blocked = not line_of_sight(a, center, [obstacle])
             if was_blocked:
                 dx, dy = -dx, -dy  # walk away until the sight line opens
             moved = obstacle
@@ -131,7 +132,7 @@ def nudge_obstacle(
                 moved = moved.translated(dx, dy)
                 if any(moved.contains(d.position) for d in s.devices):
                     break  # never swallow a device mid-walk
-                if moved.blocks_segment(a, center) != was_blocked:
+                if line_of_sight(a, center, [moved]) == was_blocked:
                     obstacles = s.obstacles[:oi] + (moved,) + s.obstacles[oi + 1 :]
                     tag = f"nudge_obstacle[{oi}]({k * dx:+.3f},{k * dy:+.3f})"
                     return varied.with_scenario(_with_obstacles(s, obstacles), tag)
@@ -248,8 +249,3 @@ def generate_corpus(
                 varied = _mutate(varied, len(corpus), seed)
             corpus.append(varied)
     return corpus
-
-
-def all_family_names() -> list[str]:
-    """Every registered family, in registration order (CLI ``all``)."""
-    return list(FAMILIES)

@@ -71,7 +71,21 @@ def lattice_triangle(draw):
     return Polygon(pts if area2 > 0 else list(reversed(pts)))
 
 
-obstacle = st.one_of(lattice_polygon(), lattice_triangle())
+@st.composite
+def lattice_l_shape(draw):
+    """A non-convex L-shaped hexagon on the lattice: a rectangle with one
+    corner cut away, so its reflex vertex can be grazed."""
+    x0 = draw(st.integers(min_value=-16, max_value=10))
+    y0 = draw(st.integers(min_value=-16, max_value=10))
+    w = draw(st.integers(min_value=2, max_value=8))
+    h = draw(st.integers(min_value=2, max_value=8))
+    a = draw(st.integers(min_value=1, max_value=w - 1))  # foot width
+    b = draw(st.integers(min_value=1, max_value=h - 1))  # foot height
+    pts = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + b), (x0 + a, y0 + b), (x0 + a, y0 + h), (x0, y0 + h)]
+    return Polygon([(x / 2.0, y / 2.0) for x, y in pts])
+
+
+obstacle = st.one_of(lattice_polygon(), lattice_triangle(), lattice_l_shape())
 
 
 def assert_bits_equal(expected: np.ndarray, got: np.ndarray, label: str) -> None:
@@ -257,8 +271,9 @@ def test_candidates_and_solutions_byte_identical_across_backends():
     blobs = {}
     solutions = {}
     for name in backends:
-        blobs[name] = serialize_candidate_set(build_candidate_set(sc, backend=name))
-        solutions[name] = solve_hipo(sc, backend=name)
+        with use_backend(name):
+            blobs[name] = serialize_candidate_set(build_candidate_set(sc))
+            solutions[name] = solve_hipo(sc)
     reference = blobs["numpy"]
     for name in backends[1:]:
         assert blobs[name] == reference, f"candidate blob differs on {name}"
@@ -281,9 +296,10 @@ def test_cache_key_excludes_backend():
     sc = _solve_scenario()
     key = extraction_cache_key(sc)
     cache = CandidateSetCache()
-    cold = solve_hipo(sc, backend="numpy", candidate_cache=cache)
+    cold = solve_hipo(sc, candidate_cache=cache)
     assert cache.stats()["misses"] == 1
-    warm = solve_hipo(sc, backend="pyloop", candidate_cache=cache)
+    with use_backend("pyloop"):
+        warm = solve_hipo(sc, candidate_cache=cache)
     assert cache.stats()["hits"] == 1
     assert extraction_cache_key(sc) == key  # key is a pure content address
     assert warm.utility == cold.utility
@@ -293,8 +309,8 @@ def test_cache_key_excludes_backend():
 def test_solve_span_records_backend():
     from repro.core import solve_hipo
 
-    sol = solve_hipo(_solve_scenario(), backend="numpy")
-    solve_span = sol.trace.find_all("solve")[-1]
-    assert solve_span.attrs["backend"] == "numpy"
-    ext_span = sol.trace.find_all("extraction")[-1]
-    assert ext_span.attrs["backend"] == "numpy"
+    for name in ("numpy", "pyloop"):
+        with use_backend(name):
+            sol = solve_hipo(_solve_scenario())
+        assert sol.trace.find_all("solve")[-1].attrs["backend"] == name
+        assert sol.trace.find_all("extraction")[-1].attrs["backend"] == name

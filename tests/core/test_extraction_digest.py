@@ -21,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
 from repro.backend.pyloop_backend import PyLoopBackend
 from repro.core import (
     ApproxPowerCalculator,
@@ -230,7 +231,8 @@ def extraction_fingerprint(name: str, *, backend: str | None = None, workers: in
     """Digest and counters of a scene's extraction; *backend* ``None`` keeps
     the current kernel set (numpy)."""
     metrics = MetricsRegistry()
-    cs = build_candidate_set(SCENES[name](), backend=backend, workers=workers, metrics=metrics)
+    with use_backend(backend):
+        cs = build_candidate_set(SCENES[name](), workers=workers, metrics=metrics)
     counters = metrics.snapshot().counters
     return (candidate_digest(cs),) + tuple(int(counters.get(c, 0)) for c in COUNTERS)
 

@@ -9,7 +9,6 @@ from repro.geometry import (
     point_on_segment,
     point_segment_distance,
     segment_intersection,
-    segments_properly_intersect,
 )
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -36,20 +35,10 @@ def test_segment_intersection_at_endpoint():
 
 
 def test_segments_intersect_collinear_overlap():
-    # Collinear overlap is no proper crossing and has no single
-    # intersection point: the candidate extraction does not need one for
-    # this measure-zero case.
-    assert not segments_properly_intersect((0, 0), (2, 0), (1, 0), (3, 0))
+    # Collinear overlap has no single intersection point: the candidate
+    # extraction does not need one for this measure-zero case.
     assert segment_intersection((0, 0), (2, 0), (1, 0), (3, 0)) is None
     assert segment_intersection((0, 0), (1, 0), (2, 0), (3, 0)) is None
-
-
-def test_segments_properly_intersect_excludes_touching():
-    assert segments_properly_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-    # Touching at an endpoint is not a proper crossing.
-    assert not segments_properly_intersect((0, 0), (1, 1), (1, 1), (2, 0))
-    # Collinear overlap is not a proper crossing.
-    assert not segments_properly_intersect((0, 0), (2, 0), (1, 0), (3, 0))
 
 
 @given(points, points, points, points)
@@ -58,12 +47,6 @@ def test_segment_intersection_point_lies_on_both(a, b, c, d):
     if p is not None:
         assert point_on_segment(p, a, b, tol=1e-6)
         assert point_on_segment(p, c, d, tol=1e-6)
-
-
-@given(points, points, points, points)
-def test_proper_implies_intersect(a, b, c, d):
-    if segments_properly_intersect(a, b, c, d):
-        assert segment_intersection(a, b, c, d) is not None
 
 
 def test_point_segment_distance_cases():

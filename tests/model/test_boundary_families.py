@@ -7,26 +7,26 @@ Charger positions come from a quarter-unit lattice over the arena, so they
 too land exactly on edges, vertices, ring radii and cone boundaries.  For
 every (position, device) pair the batched ``coverable_many`` mask must
 agree with the scalar conditions of Eq. (1): the distance ring, the
-device's receiving cone and :func:`repro.geometry.line_of_sight`.
+device's receiving cone and :func:`repro.geometry.line_of_sight` on the
+``pyloop`` reference kernels.
 
-The one known exception is a *grazing* segment, which touches an obstacle
-boundary between its endpoints without properly crossing an edge: the
-batched kernel judges it by its midpoint's crossing parity, where
-``line_of_sight`` splits it at every contact.  Such pairs are held to
-agreement by a strict xfail, which fails as soon as the kernel is fixed.
+*Grazing* segments, which touch an obstacle boundary between their
+endpoints without properly crossing an edge, are where the contact rule
+of DESIGN.md §6 matters; on those the kernels are also held to an exact
+rational reference of the rule.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.backend import use_backend
-from repro.geometry import EPS, Polygon, line_of_sight, rectangle, segments_properly_intersect
-from repro.geometry.polygon import _boundary_parameters
+from repro.geometry import EPS, Polygon, line_of_sight, point_on_segment, rectangle
 from repro.model import ChargerType, Device, DeviceType, PowerEvaluator
 
 from conftest import make_table
@@ -96,20 +96,75 @@ def _scalar_coverable(p, device: Device, obstacles) -> bool:
     diff = abs(math.remainder(bearing_os - device.orientation, 2.0 * math.pi))
     if diff > device.dtype.half_angle + EPS:
         return False
-    return line_of_sight(p, device.position, obstacles)
+    with use_backend("pyloop"):
+        return line_of_sight(p, device.position, obstacles)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1])
 
 
 def _grazing(p, q, obstacles) -> bool:
     """Whether segment ``pq`` properly crosses no obstacle edge but meets
     some obstacle's boundary strictly between its endpoints (through a
-    vertex, or along an edge)."""
-    if any(segments_properly_intersect(p, q, c, d) for h in obstacles for c, d in h.edges()):
-        return False
+    vertex, or along an edge).  Exact on the lattice."""
+    for h in obstacles:
+        for c, d in h.edges():
+            r, s = _sub(q, p), _sub(d, c)
+            if _cross(r, _sub(c, p)) * _cross(r, _sub(d, p)) < 0 and (
+                _cross(s, _sub(p, c)) * _cross(s, _sub(q, c)) < 0
+            ):
+                return False
     mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
     return any(
-        h.on_boundary(mid) or any(EPS < t < 1.0 - EPS for t in _boundary_parameters(h, p, q))
+        h.on_boundary(mid)
+        or any(
+            point_on_segment(v, p, q) and tuple(v) != tuple(p) and tuple(v) != tuple(q)
+            for v in h.vertices
+        )
         for h in obstacles
     )
+
+
+def _enters_interior(p, q, obstacles) -> bool:
+    """The contact rule in exact rational arithmetic: whether some point of
+    the open segment ``pq`` lies strictly inside an obstacle.  The segment
+    is cut wherever it meets an edge's line and at the vertices on its own
+    line; each piece then lies inside, outside or on the boundary as a
+    whole, so its midpoint decides."""
+    a, b = (tuple(map(Fraction, x)) for x in (p, q))
+    r = _sub(b, a)
+    for h in obstacles:
+        verts = [tuple(map(Fraction, v)) for v in h.vertices]
+        edges = list(zip(verts, verts[1:] + verts[:1]))
+        ts = {Fraction(0), Fraction(1)}
+        for c, d in edges:
+            s, ca = _sub(d, c), _sub(c, a)
+            if _cross(r, s):
+                ts.add(_cross(ca, s) / _cross(r, s))
+            if _cross(r, ca) == 0 and any(r):
+                ts.add((ca[0] * r[0] + ca[1] * r[1]) / (r[0] * r[0] + r[1] * r[1]))
+        ts = sorted(t for t in ts if 0 <= t <= 1)
+        for t0, t1 in zip(ts, ts[1:]):
+            tm = (t0 + t1) / 2
+            x, y = a[0] + tm * r[0], a[1] + tm * r[1]
+            on_edge = any(
+                _cross(_sub(d, c), _sub((x, y), c)) == 0
+                and min(c[0], d[0]) <= x <= max(c[0], d[0])
+                and min(c[1], d[1]) <= y <= max(c[1], d[1])
+                for c, d in edges
+            )
+            odd = sum(
+                (c[1] > y) != (d[1] > y) and x < (d[0] - c[0]) * (y - c[1]) / (d[1] - c[1]) + c[0]
+                for c, d in edges
+            ) % 2
+            if odd and not on_edge:
+                return True
+    return False
 
 
 def _lattice(bounds) -> np.ndarray:
@@ -141,12 +196,10 @@ def _compare(family: str, backend: str):
 @pytest.mark.parametrize("backend", ["numpy", "pyloop"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_coverable_many_matches_scalar_conditions(family, backend):
-    mask, expected, grazing = _compare(family, backend)
+    mask, expected, _ = _compare(family, backend)
     bounds, devices, obstacles = FAMILIES[family]
     positions = _lattice(bounds)
-    mismatches = [
-        (tuple(positions[i]), j) for i, j in zip(*np.nonzero((mask != expected) & ~grazing))
-    ]
+    mismatches = [(tuple(positions[i]), j) for i, j in zip(*np.nonzero(mask != expected))]
     assert mismatches == []
     # the lattice reaches every device, and obstacles block some of it
     assert mask.any(axis=0).all()
@@ -154,14 +207,19 @@ def test_coverable_many_matches_scalar_conditions(family, backend):
     assert (ev.coverable_many(CT, positions)[0] & ~mask).any()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the batched line-of-sight kernel tests a grazing segment by the parity "
-    "of its midpoint alone; line_of_sight splits it at every boundary contact",
-)
-def test_grazing_pairs_match_line_of_sight():
-    mismatches = {}
+@pytest.mark.parametrize("backend", ["numpy", "pyloop"])
+def test_grazing_pairs_match_line_of_sight(backend):
+    """Every grazing pair of every family gets the exact contact rule.  The
+    lattice must keep at least 54 grazing pairs: the midpoint-only kernel
+    that this rule replaced got 54 of them wrong."""
+    grazing_pairs = 0
     for family in sorted(FAMILIES):
-        mask, expected, grazing = _compare(family, "numpy")
-        mismatches[family] = int(((mask != expected) & grazing).sum())
-    assert mismatches == dict.fromkeys(FAMILIES, 0)
+        bounds, devices, obstacles = FAMILIES[family]
+        positions = _lattice(bounds)
+        grazing = _scalar_masks(family)[1]
+        with use_backend(backend):
+            for i, j in zip(*np.nonzero(grazing)):
+                p, q = positions[i], devices[j].position
+                assert line_of_sight(p, q, obstacles) != _enters_interior(p, q, obstacles), (p, q)
+        grazing_pairs += int(grazing.sum())
+    assert grazing_pairs >= 54

@@ -178,9 +178,10 @@ def test_los_mask_many_matches_line_of_sight():
     positions = np.random.default_rng(5).uniform(-6.0, 6.0, size=(40, 2))
     mask = ev.los_mask_many(positions)
     assert mask.shape == (40, 4)
-    for i, p in enumerate(positions):
-        for j, d in enumerate(devices):
-            assert mask[i, j] == line_of_sight(p, d.position, obs), (i, j)
+    with use_backend("pyloop"):
+        for i, p in enumerate(positions):
+            for j, d in enumerate(devices):
+                assert mask[i, j] == line_of_sight(p, d.position, obs), (i, j)
     assert ev.los_mask_many([(0.0, 0.0)])[0, :2].tolist() == [False, True]
 
 

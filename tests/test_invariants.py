@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import extract_pdcs_at_point
-from repro.geometry import Polygon, rotate
+from repro.geometry import Polygon, line_of_sight, rotate
 from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Strategy, pair_power
 
 from conftest import make_table
@@ -74,9 +74,9 @@ def test_pair_power_rigid_invariance(sx, sy, so, ox, oy, oo, dx, dy, theta):
         cone_slack = abs(abs(_angdiff(bearing, so)) - CT.half_angle)
         rev = math.atan2(sy - oy, sx - ox)
         rx_slack = abs(abs(_angdiff(rev, oo)) - DT.half_angle)
-        assert min(cone_slack, rx_slack) < 1e-5 or OBSTACLE.blocks_segment(
-            charger.position, device.position
-        ) != new_obstacle.blocks_segment(new_charger.position, new_devices[0].position)
+        assert min(cone_slack, rx_slack) < 1e-5 or line_of_sight(
+            charger.position, device.position, [OBSTACLE]
+        ) != line_of_sight(new_charger.position, new_devices[0].position, [new_obstacle])
 
 
 def _angdiff(a, b):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import active_backend
 from repro.core.placement import solve_hipo
 from repro.variation import INVARIANTS, InvariantContext, check_invariant, get_family
 
@@ -67,7 +68,7 @@ def test_warm_cold_catches_cache_dependent_shim():
 def test_cross_impl_catches_backend_dependent_shim():
     def buggy(scenario, **kw):
         sol = solve_hipo(scenario, **kw)
-        if kw.get("backend") == "pyloop":
+        if active_backend().name == "pyloop":
             sol.approx_utility += 0.25
         return sol
 

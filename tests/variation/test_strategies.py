@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.geometry import line_of_sight
+
 from repro.variation import FAMILIES, case_seed, generate_corpus, get_family, grid_cases, random_cases
 from repro.variation.strategies import nudge_obstacle, perturb_device, shrink_budget
 
@@ -72,7 +74,7 @@ def test_nudge_obstacle_flips_a_sight_line():
     s0, s1 = base.scenario, nudged.scenario
     center = ((s0.bounds[0] + s0.bounds[2]) / 2.0, (s0.bounds[1] + s0.bounds[3]) / 2.0)
     flipped = any(
-        o0.blocks_segment(d.position, center) != o1.blocks_segment(d.position, center)
+        line_of_sight(d.position, center, [o0]) != line_of_sight(d.position, center, [o1])
         for o0, o1 in zip(s0.obstacles, s1.obstacles)
         for d in s0.devices
     )
