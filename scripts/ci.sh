@@ -18,7 +18,8 @@
 # (scripts/typecheck.sh).
 #
 # After tier-1 the intersection-kernel property tests and the extraction
-# digests re-run under the Hypothesis "ci" profile (more examples).
+# digests re-run under the Hypothesis "ci" profile (more examples), and
+# three examples that read the candidate-set API run to completion.
 #
 # The serve stress test (tests/serve/test_stress.py) is the runtime check
 # of the leaf-lock design; after tier-1 it runs ten more times in a row,
@@ -64,6 +65,14 @@ python -m pytest -x -q
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
     tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
     tests/core/test_extraction_digest.py -x -q
+
+# These examples call the solver, extraction and candidate-set API
+# (`solve_hipo`, `build_candidate_set`, `parallel_positions_by_type`,
+# `HIPOSolution.candidate_set`); no test runs them.
+for example in quickstart distributed_extraction redeployment_and_fairness; do
+    python "examples/$example.py" > /dev/null
+done
+echo "examples ok (quickstart, distributed_extraction, redeployment_and_fairness)"
 
 for i in 1 2 3 4 5 6 7 8 9 10; do
     python -m pytest tests/serve/test_stress.py tests/serve/test_solvers.py -q

@@ -16,7 +16,7 @@ from .distributed import (
 )
 from .pdcs import (
     PointStrategy,
-    SweptCandidate,
+    candidate_keys,
     extract_pdcs_at_point,
     extract_pdcs_many,
     strategies_at_point,
@@ -53,11 +53,11 @@ __all__ = [
     "PairApproximation",
     "PointStrategy",
     "SolveCancelled",
-    "SweptCandidate",
     "TaskMeasurement",
     "active_candidate_cache",
     "assign_tasks",
     "build_candidate_set",
+    "candidate_keys",
     "check_cancel",
     "deserialize_candidate_set",
     "epsilon1_for",

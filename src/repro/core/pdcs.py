@@ -30,7 +30,7 @@ from ..model.types import ChargerType
 
 __all__ = [
     "PointStrategy",
-    "SweptCandidate",
+    "candidate_keys",
     "extract_pdcs_at_point",
     "extract_pdcs_many",
     "strategies_at_point",
@@ -116,36 +116,32 @@ def sweep_orientations(
     return np.concatenate(rows), np.concatenate(thetas), np.concatenate(covered)
 
 
-@dataclass(frozen=True)
-class SweptCandidate:
-    """One candidate strategy extracted by a sweep-chunk task: position,
-    orientation, covered set and the power values on the covered devices.
+def candidate_keys(covered: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The dedupe key of each candidate row, one ``uint8`` row per candidate.
 
-    The power vectors are restricted to ``covered`` (in ascending index
-    order) so the records stay compact when shipped across process
-    boundaries; callers scatter them back into full device rows.
-    """
-
-    position: tuple[float, float]
-    orientation: float
-    covered: tuple[int, ...]
-    approx_powers: np.ndarray  # approximated power on the covered devices
-    exact_powers: np.ndarray  # exact power on the covered devices
-
-
-def _first_occurrences(covered: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first record of every distinct key.
-
-    A record's key is its covered set, bit-packed over all devices, plus
-    its approximated powers rounded to 12 places and zeroed off the
-    covered set: the same equality the cross-chunk dedupe applies, as one
-    fixed-width byte string.
+    Two candidates of one charger type are the same candidate when their
+    covered sets and their approximated powers rounded to 12 places agree.
+    A key row is the covered set bit-packed over all devices followed by the
+    bytes of *powers* rounded to 12 places and zeroed off the covered set,
+    so equal candidates have equal key bytes.  Both the in-chunk and the
+    cross-chunk dedupe compare these rows.
     """
     rounded = np.where(covered, powers.round(12), 0.0)
-    key = np.concatenate([np.packbits(covered, axis=1), rounded.view(np.uint8)], axis=1)
-    _, first = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True)
-    first.sort()
-    return first
+    return np.concatenate([np.packbits(covered, axis=1), rounded.view(np.uint8)], axis=1)
+
+
+def _normalized_angles(thetas: np.ndarray) -> np.ndarray:
+    """:func:`~repro.geometry.normalize_angle` elementwise, bit for bit."""
+    t = np.fmod(thetas, TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    return np.where(t >= TWO_PI, t - TWO_PI, t)
+
+
+def _no_candidates(num_devices: int) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`sweep_position_batch` for a chunk without candidates."""
+    rows = np.zeros((0, num_devices))
+    keys = candidate_keys(np.zeros(rows.shape, dtype=bool), rows)
+    return np.zeros((0, 2)), np.zeros(0), rows, rows, keys
 
 
 def sweep_position_batch(
@@ -155,22 +151,25 @@ def sweep_position_batch(
     positions: np.ndarray,
     *,
     metrics=None,
-) -> tuple[list[SweptCandidate], int, float]:
+) -> tuple[tuple[np.ndarray, ...], int, float]:
     """Candidate extraction at a batch of positions for one charger type.
 
     Runs the orientation-independent coverability tests for the whole batch
     in one broadcast (:meth:`PowerEvaluator.coverable_many`), quantizes the
     approximated powers for every coverable row at once, applies the
     Algorithm-1 sweep to the whole batch (:func:`sweep_orientations`) and
-    drops repeated candidates before building any record.  *approx* is an
-    :class:`~repro.core.approximation.ApproxPowerCalculator`.
+    keeps the first of equal candidates (equal :func:`candidate_keys`).
+    *approx* is an :class:`~repro.core.approximation.ApproxPowerCalculator`.
 
-    Returns ``(records, raw, sweep_seconds)``.  *records* lists the swept
-    candidates in position order, keeping only the first of equal ones
-    (same covered set and rounded approximated powers); repeats of an
-    earlier chunk's candidates are left for the caller.  *raw* counts the
-    candidates before that dedupe, and *sweep_seconds* is the time spent in
-    the sweep plus the dedupe.
+    Returns ``(swept, raw, sweep_seconds)``.  *swept* is the tuple of
+    arrays ``(positions, orientations, approx_power, exact_power, keys)``
+    with one row per kept candidate, in position order: positions
+    ``(K, 2)``, orientations ``(K,)`` normalized to ``[0, 2π)`` as
+    :class:`~repro.model.Strategy` stores them, approximated and exact
+    power rows ``(K, No)`` zero off the covered set, and the key rows.
+    Repeats of an earlier chunk's candidates are left for the caller.
+    *raw* counts the candidates before the dedupe, and *sweep_seconds* is
+    the time spent in the sweep plus the dedupe.
 
     *metrics*, when given, is a :class:`~repro.obs.MetricsRegistry` fed the
     per-chunk kernel counters (``extraction.chunks``,
@@ -178,40 +177,36 @@ def sweep_position_batch(
     ``extraction.sweep_chunk_seconds`` histogram.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    records: list[SweptCandidate] = []
     if metrics is not None:
         metrics.inc("extraction.chunks")
         metrics.inc("extraction.positions_swept", len(pts))
     if len(pts) == 0:
-        return records, 0, 0.0
+        return _no_candidates(evaluator.num_devices), 0, 0.0
     mask_b, dists_b, bearings_b = evaluator.coverable_many(ctype, pts)
     live = np.nonzero(mask_b.any(axis=1))[0]
     if live.size == 0:
-        return records, 0, 0.0
+        return _no_candidates(evaluator.num_devices), 0, 0.0
     a_vec, b_vec = evaluator.coefficients(ctype)
     approx_b = approx.approx_powers(ctype, dists_b[live])  # (live, No)
     exact_b = active_backend().power_fill(a_vec, b_vec, dists_b[live])
     t0 = time.perf_counter()
     rows, thetas, covered = sweep_orientations(ctype, mask_b[live], bearings_b[live])
-    first = _first_occurrences(covered, approx_b[rows])
+    keys = candidate_keys(covered, approx_b[rows])
+    _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True)
+    first.sort()
     sweep_seconds = time.perf_counter() - t0
-    for k in first.tolist():
-        r = int(rows[k])
-        idx = np.flatnonzero(covered[k])
-        i = live[r]
-        records.append(
-            SweptCandidate(
-                (float(pts[i, 0]), float(pts[i, 1])),
-                float(thetas[k]),
-                tuple(idx.tolist()),
-                approx_b[r, idx],
-                exact_b[r, idx],
-            )
-        )
+    rows, covered = rows[first], covered[first]
+    swept = (
+        pts[live[rows]],
+        _normalized_angles(thetas[first]),
+        np.where(covered, approx_b[rows], 0.0),
+        np.where(covered, exact_b[rows], 0.0),
+        keys[first],
+    )
     if metrics is not None:
-        metrics.inc("extraction.candidates_raw", len(rows))
+        metrics.inc("extraction.candidates_raw", len(thetas))
         metrics.observe("extraction.sweep_chunk_seconds", sweep_seconds)
-    return records, len(rows), sweep_seconds
+    return swept, len(thetas), sweep_seconds
 
 
 def extract_pdcs_many(

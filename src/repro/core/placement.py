@@ -5,8 +5,8 @@ Pipeline:
 1. :class:`~repro.core.candidates.CandidateGenerator` reduces the continuous
    strategy space to finitely many candidate *positions* per charger type;
 2. the Algorithm-1 rotational sweep at every position extracts the PDCS
-   orientations, each becoming a candidate :class:`~repro.model.Strategy`
-   with an approximated and an exact power row;
+   orientations, each becoming a candidate row: a position, an orientation,
+   a charger type, an approximated and an exact power row;
 3. Algorithm 3 — greedy maximization of the monotone submodular utility under
    the partition matroid of per-type budgets — selects the placement, with
    approximation ratio ``1/2 − ε`` for the approximated objective.
@@ -19,6 +19,7 @@ with the exact power law.
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Literal
@@ -28,6 +29,7 @@ import numpy as np
 from ..backend import active_backend
 from ..model.entities import Strategy
 from ..model.network import Scenario
+from ..model.types import ChargerType
 from ..model.utility import total_utility
 from ..obs import MetricsRegistry, MetricsSnapshot, Tracer, render_run_report
 from ..opt.matroid import PartitionMatroid
@@ -39,7 +41,7 @@ from ..opt.submodular import (
 )
 from .candidates import CandidateGenerator
 from .distributed import check_cancel, extraction_pool, positions_from_tasks, run_tasks
-from .pdcs import SweptCandidate, sweep_position_batch
+from .pdcs import sweep_position_batch
 from .reuse import CandidateSetCache, active_candidate_cache, extraction_cache_key
 
 __all__ = [
@@ -54,22 +56,38 @@ __all__ = [
 
 @dataclass
 class CandidateSet:
-    """The discrete reformulation (problem P2): candidate strategies with
-    their power rows and matroid structure."""
+    """The discrete reformulation (problem P2): one row per candidate, with
+    its power rows and matroid structure.  Candidate *k* is a charger of
+    type ``charger_types[part_of[k]]`` at ``positions[k]``, oriented
+    ``orientations[k]``; :meth:`strategy` builds it as a strategy."""
 
-    strategies: list[Strategy]
     approx_power: np.ndarray  # (candidates, devices) — P̃, what the greedy sees
     exact_power: np.ndarray  # (candidates, devices) — P, what gets reported
     part_of: list[int]  # candidate -> charger type index
     capacities: list[int]  # per charger type index
+    positions: np.ndarray  # (candidates, 2)
+    orientations: np.ndarray  # (candidates,), normalized to [0, 2π)
+    # Per charger type index; ``None`` for a type no candidate uses when
+    # decoded without a scenario.
+    charger_types: tuple[ChargerType | None, ...]
     positions_per_type: dict[str, int] = field(default_factory=dict)
 
     @property
     def num_candidates(self) -> int:
-        return len(self.strategies)
+        return len(self.part_of)
 
     def matroid(self) -> PartitionMatroid:
         return PartitionMatroid(self.part_of, self.capacities)
+
+    def strategy(self, k: int) -> Strategy:
+        """Candidate *k* as a :class:`~repro.model.Strategy`."""
+        x, y = self.positions[k].tolist()
+        return Strategy((x, y), float(self.orientations[k]), self.charger_types[self.part_of[k]])
+
+    @functools.cached_property
+    def strategies(self) -> list[Strategy]:
+        """Every candidate as a :class:`~repro.model.Strategy`, in row order."""
+        return [self.strategy(k) for k in range(self.num_candidates)]
 
 
 @dataclass
@@ -108,20 +126,21 @@ def _sweep_chunk(gen: CandidateGenerator, task: tuple[int, np.ndarray]):
     """One sweep-chunk task: Algorithm 1 at a chunk of positions of the
     charger type with index ``task[0]``.
 
-    Returns ``(records, raw, sweep_seconds, metrics_snapshot)``: the
-    kernel counters go to a task-local registry whose snapshot the caller
-    merges, so in-process and pooled runs report identical counter totals.
+    Returns :func:`~repro.core.pdcs.sweep_position_batch`'s result plus a
+    metrics snapshot: the kernel counters go to a task-local registry whose
+    snapshot the caller merges, so in-process and pooled runs report
+    identical counter totals.
     """
     q, positions = task
     task_metrics = MetricsRegistry()
-    records, raw, sweep_s = sweep_position_batch(
+    swept, raw, sweep_s = sweep_position_batch(
         gen.evaluator,
         gen.approx,
         gen.scenario.charger_types[q],
         positions,
         metrics=task_metrics,
     )
-    return records, raw, sweep_s, task_metrics.snapshot()
+    return swept, raw, sweep_s, task_metrics.snapshot()
 
 
 def build_candidate_set(
@@ -160,6 +179,10 @@ def build_candidate_set(
     In-process and pooled runs produce identical candidate sets in
     identical order.
 
+    A chunk's candidates arrive deduplicated among themselves; one whose
+    type and :func:`~repro.core.pdcs.candidate_keys` row an earlier chunk
+    produced is dropped.
+
     Observability: the phases run inside ``extraction`` → ``positions`` /
     ``sweeps`` spans on *tracer*, and *metrics* accumulates the extraction
     counters (DESIGN.md §7); every sweep task returns a metric snapshot,
@@ -168,54 +191,15 @@ def build_candidate_set(
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
     gen = generator if generator is not None else CandidateGenerator(scenario, eps=eps)
-    strategies: list[Strategy] = []
-    covered_idx: list[np.ndarray] = []
-    approx_vals: list[np.ndarray] = []
-    exact_vals: list[np.ndarray] = []
+    kept: list[tuple[np.ndarray, ...]] = []  # per chunk: positions, orientations, approx, exact
     part_of: list[int] = []
-    seen: set[bytes] = set()
+    seen: set[bytes] = set()  # type-prefixed key rows of the kept candidates
     positions_per_type: dict[str, int] = {}
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
     nworkers = max(1, int(workers or 1))
     chunk = DEFAULT_EXTRACTION_CHUNK
     sweep_s = 0.0  # CPU-seconds in sweeps + in-chunk dedupe (worker-side when pooled)
-    dedupe_s = 0.0  # wall-clock inside absorb()
-
-    def absorb(q: int, records: list[SweptCandidate], raw: int) -> None:
-        """Drop candidates an earlier chunk already produced and stash the
-        compact rows of the rest (timed).  *raw* is the chunk's candidate
-        count before its in-chunk dedupe, so ``extraction.duplicates``
-        counts both.
-
-        The dedupe key is a single bytes object (type index, covered
-        indices, rounded approx powers) hashed once on set insertion —
-        unambiguous because the two arrays always have equal length; it
-        is the same equality the in-chunk dedupe applies.  Full
-        power rows are NOT materialized here; the compact (indices, values)
-        pairs are scattered into two preallocated matrices once, after all
-        sweeps (cheaper than two fresh full-width zero rows per candidate
-        plus a final vstack).
-        """
-        nonlocal dedupe_s
-        t0 = time.perf_counter()
-        kept = 0
-        ct = scenario.charger_types[q]
-        qb = q.to_bytes(4, "little")
-        for rec in records:
-            covered = np.asarray(rec.covered, dtype=np.int64)
-            key = b"".join((qb, covered.tobytes(), rec.approx_powers.round(12).tobytes()))
-            if key in seen:
-                continue
-            seen.add(key)
-            strategies.append(Strategy(rec.position, rec.orientation, ct))
-            covered_idx.append(covered)
-            approx_vals.append(rec.approx_powers)
-            exact_vals.append(rec.exact_powers)
-            part_of.append(q)
-            kept += 1
-        dedupe_s += time.perf_counter() - t0
-        mreg.inc("extraction.candidates", kept)
-        mreg.inc("extraction.duplicates", raw - kept)
+    dedupe_s = 0.0  # wall-clock in the cross-chunk dedupe
 
     active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
     pooled = nworkers > 1 and type(gen) is CandidateGenerator and bool(active)
@@ -248,28 +232,46 @@ def build_candidate_set(
                 for lo in range(0, len(pos_map[ct.name]), chunk)
             ]
             check_cancel(cancel)
-            for (q, _), (records, raw, task_sweep_s, snap) in zip(
+            for (q, _), ((*rows, keys), raw, task_sweep_s, snap) in zip(
                 tasks, run_tasks(_sweep_chunk, tasks, gen, pool)
             ):
                 check_cancel(cancel)
                 sweep_s += task_sweep_s
                 mreg.merge(snap)
-                absorb(q, records, raw)
+                t0 = time.perf_counter()
+                qb = q.to_bytes(4, "little")
+                tagged = [qb + key.tobytes() for key in keys]
+                fresh = np.array([key not in seen for key in tagged], dtype=bool)
+                seen.update(tagged)
+                kept.append(tuple(a[fresh] for a in rows))
+                dedupe_s += time.perf_counter() - t0
+                fresh_count = len(kept[-1][0])
+                part_of += [q] * fresh_count
+                mreg.inc("extraction.candidates", fresh_count)
+                mreg.inc("extraction.duplicates", raw - fresh_count)
             sw_sp.set(
                 sweep_seconds=round(sweep_s, 6),
                 dedupe_seconds=round(dedupe_s, 6),
-                candidates=len(strategies),
+                candidates=len(part_of),
             )
-        ext_sp.set(positions=sum(positions_per_type.values()), candidates=len(strategies))
+        ext_sp.set(positions=sum(positions_per_type.values()), candidates=len(part_of))
 
-    approx_power = np.zeros((len(strategies), scenario.num_devices))
-    exact_power = np.zeros((len(strategies), scenario.num_devices))
-    for k, covered in enumerate(covered_idx):
-        approx_power[k, covered] = approx_vals[k]
-        exact_power[k, covered] = exact_vals[k]
-    return CandidateSet(
-        strategies, approx_power, exact_power, part_of, capacities, positions_per_type
+    no_rows = np.zeros((0, scenario.num_devices))
+    positions, orientations, approx_power, exact_power = (
+        np.concatenate(column)
+        for column in zip((np.zeros((0, 2)), np.zeros(0), no_rows, no_rows), *kept)
     )
+    return CandidateSet(
+        approx_power,
+        exact_power,
+        part_of,
+        capacities,
+        positions,
+        orientations,
+        scenario.charger_types,
+        positions_per_type,
+    )
+
 
 def select_strategies(
     scenario: Scenario,
@@ -320,7 +322,7 @@ def select_strategies(
         if lazy:
             full_scan = candidates.num_candidates * max(1, len(result.gains))
             metrics.inc("greedy.lazy_evaluations_saved", max(0, full_scan - result.evaluations))
-    return [candidates.strategies[k] for k in result.indices], result
+    return [candidates.strategy(k) for k in result.indices], result
 
 
 def solve_hipo(
@@ -472,8 +474,6 @@ def solve_hipo_hardened(
     The utility guarantee degrades to ``(1/2 − ε)`` of the optimum of the
     *shrunk* instance; the pay-off is robustness (the margin is a knob).
     """
-    from ..model.types import ChargerType
-
     if angle_margin < 0.0 or radial_margin < 0.0:
         raise ValueError("margins must be non-negative")
     hardened_types = []

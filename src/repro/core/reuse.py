@@ -21,10 +21,13 @@ workloads pay the expensive phase once:
   solve in a block without threading the cache through each call site.
 
 On a hit the deserialized set is *re-bound* to the requesting scenario:
-strategies point at the scenario's own :class:`~repro.model.ChargerType`
-objects and the matroid capacities are re-derived from its budgets — the
-two pieces of a candidate set that legitimately vary under the shared key.
-Solutions from a warm start are byte-identical to cold ones (tested).
+its charger types are the scenario's own :class:`~repro.model.ChargerType`
+objects, so the strategies built from it point at them, and the matroid
+capacities are re-derived from its budgets — the two pieces of a candidate
+set that legitimately vary under the shared key.  Decoding builds no
+strategy: the arrays are views into the blob, and only the strategies a
+solve selects are ever built.  Solutions from a warm start are
+byte-identical to cold ones (tested).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 
 from ..io import canonical_extraction_hash, canonical_json
 from ..lru import BytesLRU
-from ..model.entities import Strategy
 from ..model.network import Scenario
 from ..model.types import ChargerType
 from ..obs import MetricsRegistry
@@ -115,6 +117,14 @@ def extraction_cache_key(
     return key
 
 
+def _first_appearance(part_of: np.ndarray) -> np.ndarray:
+    """The distinct charger type indices of *part_of*, in order of first
+    appearance: the order of the blob's charger-type catalogue, which its
+    ``ctype_index`` array indexes."""
+    _, first = np.unique(part_of, return_index=True)
+    return part_of[np.sort(first)]
+
+
 def serialize_candidate_set(candidates: "CandidateSet") -> bytes:
     """Encode a candidate set as deterministic bytes.
 
@@ -125,35 +135,22 @@ def serialize_candidate_set(candidates: "CandidateSet") -> bytes:
     produce identical bytes (the property the content-addressed cache and
     the byte-identical warm-start guarantee rest on).
     """
-    ctype_names: list[str] = []
-    ctype_defs: list[dict[str, Any]] = []
-    index_of: dict[str, int] = {}
-    for s in candidates.strategies:
-        if s.ctype.name not in index_of:
-            index_of[s.ctype.name] = len(ctype_names)
-            ctype_names.append(s.ctype.name)
-            ctype_defs.append(
-                {
-                    "name": s.ctype.name,
-                    "charging_angle": s.ctype.charging_angle,
-                    "dmin": s.ctype.dmin,
-                    "dmax": s.ctype.dmax,
-                }
-            )
     n = candidates.num_candidates
+    part_of = np.asarray(candidates.part_of, dtype="<i8").reshape(n)
+    used = _first_appearance(part_of)
+    index_of = np.zeros(len(candidates.capacities), dtype="<i8")
+    index_of[used] = np.arange(len(used))
+    ctype_defs = [
+        {"name": ct.name, "charging_angle": ct.charging_angle, "dmin": ct.dmin, "dmax": ct.dmax}
+        for ct in (candidates.charger_types[q] for q in used.tolist())
+    ]
     arrays: dict[str, np.ndarray] = {
         "approx_power": np.ascontiguousarray(candidates.approx_power, dtype="<f8"),
         "exact_power": np.ascontiguousarray(candidates.exact_power, dtype="<f8"),
-        "part_of": np.asarray(candidates.part_of, dtype="<i8").reshape(n),
-        "positions": np.ascontiguousarray(
-            [[s.position[0], s.position[1]] for s in candidates.strategies], dtype="<f8"
-        ).reshape(n, 2),
-        "orientations": np.asarray(
-            [s.orientation for s in candidates.strategies], dtype="<f8"
-        ).reshape(n),
-        "ctype_index": np.asarray(
-            [index_of[s.ctype.name] for s in candidates.strategies], dtype="<i8"
-        ).reshape(n),
+        "part_of": part_of,
+        "positions": np.ascontiguousarray(candidates.positions, dtype="<f8").reshape(n, 2),
+        "orientations": np.ascontiguousarray(candidates.orientations, dtype="<f8").reshape(n),
+        "ctype_index": index_of[part_of],
     }
     manifest = [
         {"name": name, "dtype": dtype, "shape": list(arrays[name].shape)}
@@ -181,13 +178,14 @@ def deserialize_candidate_set(
 ) -> "CandidateSet":
     """Rebuild a candidate set from :func:`serialize_candidate_set` bytes.
 
-    With *scenario* given, the set is re-bound to it: strategies reference
-    the scenario's own charger-type objects and the matroid capacities are
+    With *scenario* given, the set is re-bound to it: its charger types
+    are the scenario's own objects and the matroid capacities are
     re-derived from the scenario's *current* budgets (the one part of a
     candidate set that varies under the shared extraction key).  Without a
     scenario the stored catalogue and capacities are used verbatim.  The
-    power matrices are read-only views into *blob*, not copies: decoding
-    allocates no matrix, and a warm solve cannot alter the cached set.
+    power matrices, positions and orientations are read-only views into
+    *blob*, not copies: decoding allocates no matrix and builds no
+    strategy, and a warm solve cannot alter the cached set.
     """
     from .placement import CandidateSet
 
@@ -211,32 +209,29 @@ def deserialize_candidate_set(
         ChargerType(d["name"], d["charging_angle"], d["dmin"], d["dmax"])
         for d in header["ctypes"]
     ]
+    used = _first_appearance(arrays["part_of"]).tolist()
     if scenario is not None:
-        catalogue = {ct.name: ct for ct in scenario.charger_types}
-        try:
-            ctypes = [catalogue[ct.name] for ct in stored_types]
-        except KeyError as exc:
-            raise ValueError(
-                f"cached candidate set references unknown charger type {exc.args[0]!r}"
-            ) from None
-        capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
+        charger_types = scenario.charger_types
+        for q, ct in zip(used, stored_types):
+            if q >= len(charger_types) or charger_types[q].name != ct.name:
+                raise ValueError(
+                    f"cached candidate set references unknown charger type {ct.name!r}"
+                )
+        capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in charger_types]
     else:
-        ctypes = stored_types
         capacities = [int(c) for c in header["capacities"]]
-    strategies = [
-        Strategy(
-            (float(arrays["positions"][k, 0]), float(arrays["positions"][k, 1])),
-            float(arrays["orientations"][k]),
-            ctypes[int(arrays["ctype_index"][k])],
-        )
-        for k in range(len(arrays["orientations"]))
-    ]
+        types: list[ChargerType | None] = [None] * len(capacities)
+        for q, ct in zip(used, stored_types):
+            types[q] = ct
+        charger_types = tuple(types)
     return CandidateSet(
-        strategies=strategies,
         approx_power=arrays["approx_power"],
         exact_power=arrays["exact_power"],
-        part_of=[int(q) for q in arrays["part_of"]],
+        part_of=arrays["part_of"].tolist(),
         capacities=capacities,
+        positions=arrays["positions"],
+        orientations=arrays["orientations"],
+        charger_types=charger_types,
         positions_per_type={
             str(k): int(v) for k, v in header["positions_per_type"].items()
         },

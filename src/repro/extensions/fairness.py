@@ -63,7 +63,7 @@ class FairnessSolution:
 def _to_solution(scenario: Scenario, candidates: CandidateSet, indices: Sequence[int]) -> FairnessSolution:
     u = utilities_of(scenario, candidates, indices)
     return FairnessSolution(
-        strategies=[candidates.strategies[k] for k in indices],
+        strategies=[candidates.strategy(k) for k in indices],
         utilities=u,
         min_utility=float(u.min()) if u.size else 0.0,
         mean_utility=float(u.mean()) if u.size else 0.0,

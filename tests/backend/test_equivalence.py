@@ -5,7 +5,10 @@ cache blobs and placements may not depend on the kernel set.  Hypothesis
 drives the kernels over lattice coordinates (quarter-integer grid) so
 degenerate configurations — collinear touches, vertex-grazing rays,
 segments lying exactly along edges, zero-aperture sectors — occur with
-high probability instead of almost never.
+high probability instead of almost never.  Lattice segments are never
+shorter than 0.25, so line of sight is also driven with float segments
+whose ends lie within 1e-6 of an obstacle vertex, where every cross
+product falls below ``EPS`` and only the grazing split's cuts decide.
 """
 
 from __future__ import annotations
@@ -88,6 +91,30 @@ def lattice_l_shape(draw):
 obstacle = st.one_of(lattice_polygon(), lattice_triangle(), lattice_l_shape())
 
 
+#: Offsets of at most 1e-6 in steps of 1e-9: a segment between two points
+#: this close to one vertex has every cross product with it below ``EPS``.
+tiny = st.integers(min_value=-1000, max_value=1000).map(lambda k: k * 1e-9)
+
+
+@st.composite
+def near_vertex_segment(draw, poly: Polygon):
+    """A float segment whose ends lie within 1e-6 of one vertex of *poly*,
+    each on one of the vertex's two edge lines or off both."""
+    verts = np.asarray(poly.vertices, dtype=float)
+    k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+    v = verts[k]
+    lines = [verts[k - 1] - v, verts[(k + 1) % len(verts)] - v]
+
+    def end() -> tuple[float, float]:
+        along = draw(st.sampled_from([*lines, None]))
+        if along is None:
+            return (float(v[0] + draw(tiny)), float(v[1] + draw(tiny)))
+        u = draw(tiny) / float(np.hypot(*along))
+        return (float(v[0] + u * along[0]), float(v[1] + u * along[1]))
+
+    return end(), end()
+
+
 def assert_bits_equal(expected: np.ndarray, got: np.ndarray, label: str) -> None:
     assert got.dtype == expected.dtype, f"{label}: dtype {got.dtype} != {expected.dtype}"
     assert got.shape == expected.shape, f"{label}: shape {got.shape} != {expected.shape}"
@@ -101,6 +128,22 @@ def assert_bits_equal(expected: np.ndarray, got: np.ndarray, label: str) -> None
     poly=obstacle,
 )
 def test_blocked_segments_bitwise_equal(numpy_backend, alt, segs, poly):
+    starts = np.array([s for s, _ in segs], dtype=float)
+    ends = np.array([e for _, e in segs], dtype=float)
+    c, d, s = poly.edge_arrays()
+    expected = numpy_backend.blocked_segments(starts, ends, c, d, s)
+    got = alt.blocked_segments(starts, ends, c, d, s)
+    assert_bits_equal(expected, np.asarray(got), "blocked_segments")
+
+
+@pytest.mark.parametrize("alt", ALTS, ids=alt_ids())
+@settings(max_examples=150, deadline=None)
+@given(poly=obstacle, data=st.data())
+def test_blocked_segments_near_vertices_bitwise_equal(numpy_backend, alt, poly, data):
+    """Short segments at a vertex: a kernel set that cut them only at the
+    vertex, not also where they meet the edge lines, would let some through
+    the corner; about one such segment in ten."""
+    segs = data.draw(st.lists(near_vertex_segment(poly), min_size=1, max_size=12))
     starts = np.array([s for s, _ in segs], dtype=float)
     ends = np.array([e for _, e in segs], dtype=float)
     c, d, s = poly.edge_arrays()

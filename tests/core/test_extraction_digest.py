@@ -7,7 +7,10 @@ sweep was batched.  Each scene's candidate positions per charger type are
 hashed too, against digests recorded before the Algorithm-2/4 position
 generation was batched.  Any change to position or candidate order,
 orientations, covered sets or power values fails here, under every
-backend and worker count the scene runs with.
+backend and worker count the scene runs with.  Each scene's serialized
+candidate set is hashed too, against digests recorded when candidate
+sets were still lists of strategies: ``.candidates`` files on disk must
+keep decoding to the same set.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -27,7 +31,9 @@ from repro.core import (
     ApproxPowerCalculator,
     CandidateGenerator,
     build_candidate_set,
+    deserialize_candidate_set,
     parallel_positions_by_type,
+    serialize_candidate_set,
     sweep_position_batch,
 )
 from repro.experiments import random_scenario
@@ -215,6 +221,32 @@ POSITIONS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: sha256 of ``serialize_candidate_set(build_candidate_set(scene))``,
+#: recorded while the codec still encoded lists of strategies.
+BLOBS: dict[str, str] = {
+    "arena-touch-10": "0b9e4ed92b343aabfc77f38acd713dc99849e459b7a03b7ea4ad43d07d2a8eed",
+    "clutter-14": "9d5be74beab0929940d5495765f6c233bfcc3a6b40f8495accc0b86478ea6cdd",
+    "coincident-10": "818a96153c9adac29ca58ee0cdad87986638396c55bd6f8e3d49abcd90691133",
+    "cold-40": "1faba620c7d31ca984bbe87aaeaf4fe3cf55767f25aa8699961aa7215889ff57",
+    "edge-device-10": "8e845e66329041a1308a8d8b441140cc0cd1fff2425c64e95e48e3a1662c47ac",
+    "omni-10": "e85b19891d952b12915f8f780c211e996f914920c6d725a479f0621404f38949",
+    "open-10": "ad3ab0a2f2748b70d085ad27200b406f2878531877dba72f78285f2b3b52f368",
+    "serve-10": "51a66fdae3188a7db4be7403051595d856b9424f7d56d173b8f97cf523d73426",
+    "wide-15": "e861721448744c08f9fc4ee58a0ce1a034f19117499c1494703258f37895bcbb",
+}
+
+#: ``serve-10`` without its first charger type (budget 0), so the blob's
+#: catalogue order differs from the scenario's type order: (blob sha256,
+#: candidate digest), recorded with :data:`BLOBS`.
+NO_FIRST_TYPE = (
+    "85f6cede5d13f864162c6ab6a6c3ba6e579779733c076f35da3389949f3b9f0d",
+    "5541ad202c9d59170c6077ab42efe6eb16a047156816deaf5413af774df6c31c",
+)
+
+#: ``serve-10``'s candidate set as the strategy-list codec wrote it.
+LEGACY_BLOB = pathlib.Path(__file__).parent / "data" / "serve-10.candidates"
+
+
 def candidate_digest(cs) -> str:
     """sha256 of a candidate set's strategies, power matrices and parts."""
     h = hashlib.sha256()
@@ -227,28 +259,40 @@ def candidate_digest(cs) -> str:
     return h.hexdigest()
 
 
+def _blob_sha(cs) -> str:
+    return hashlib.sha256(serialize_candidate_set(cs)).hexdigest()
+
+
 def extraction_fingerprint(name: str, *, backend: str | None = None, workers: int = 1):
-    """Digest and counters of a scene's extraction; *backend* ``None`` keeps
-    the current kernel set (numpy)."""
+    """Digest, counters and codec-blob sha256 of a scene's extraction;
+    *backend* ``None`` keeps the current kernel set (numpy)."""
     metrics = MetricsRegistry()
     with use_backend(backend):
         cs = build_candidate_set(SCENES[name](), workers=workers, metrics=metrics)
     counters = metrics.snapshot().counters
-    return (candidate_digest(cs),) + tuple(int(counters.get(c, 0)) for c in COUNTERS)
+    return (
+        (candidate_digest(cs),)
+        + tuple(int(counters.get(c, 0)) for c in COUNTERS)
+        + (_blob_sha(cs),)
+    )
+
+
+def expected_fingerprint(name: str):
+    return EXPECTED[name] + (BLOBS[name],)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_candidate_set_digest(name):
-    assert extraction_fingerprint(name) == EXPECTED[name]
+    assert extraction_fingerprint(name) == expected_fingerprint(name)
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_candidate_set_digest_pyloop(name):
-    assert extraction_fingerprint(name, backend="pyloop") == EXPECTED[name]
+    assert extraction_fingerprint(name, backend="pyloop") == expected_fingerprint(name)
 
 
 def test_candidate_set_digest_pooled():
-    assert extraction_fingerprint("cold-40", workers=2) == EXPECTED["cold-40"]
+    assert extraction_fingerprint("cold-40", workers=2) == expected_fingerprint("cold-40")
 
 
 def test_candidate_set_digest_pooled_pyloop(monkeypatch):
@@ -266,8 +310,30 @@ def test_candidate_set_digest_pooled_pyloop(monkeypatch):
 
     monkeypatch.setattr(PyLoopBackend, "sweep_coverage", counted)
     fingerprint = extraction_fingerprint("serve-10", backend="pyloop", workers=2)
-    assert fingerprint == EXPECTED["serve-10"]
+    assert fingerprint == expected_fingerprint("serve-10")
     assert calls.value > 0
+
+
+def test_candidate_blob_digest_without_first_type():
+    scenario = SCENES["serve-10"]()
+    first = scenario.charger_types[0].name
+    scenario = scenario.with_budgets({**scenario.budgets, first: 0})
+    cs = build_candidate_set(scenario)
+    assert 0 not in cs.part_of
+    assert (_blob_sha(cs), candidate_digest(cs)) == NO_FIRST_TYPE
+    rebound = deserialize_candidate_set(serialize_candidate_set(cs), scenario)
+    assert candidate_digest(rebound) == NO_FIRST_TYPE[1]
+
+
+def test_legacy_blob_decodes_to_recorded_set():
+    """A blob written by the strategy-list codec decodes, with and without
+    a scenario, to the recorded ``serve-10`` set and re-encodes to itself."""
+    blob = LEGACY_BLOB.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == BLOBS["serve-10"]
+    scenario = SCENES["serve-10"]()
+    for cs in (deserialize_candidate_set(blob), deserialize_candidate_set(blob, scenario)):
+        assert candidate_digest(cs) == EXPECTED["serve-10"][0]
+        assert serialize_candidate_set(cs) == blob
 
 
 def _sha(points: np.ndarray) -> str:
@@ -348,9 +414,9 @@ def test_sweep_chunk_memory_is_bounded():
     assert mask.sum(axis=1).min() == devices
     tracemalloc.start()
     try:
-        records, raw, _ = sweep_position_batch(ev, approx, ct, positions)
+        (kept, *_), raw, _ = sweep_position_batch(ev, approx, ct, positions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raw >= len(records) > 0
+    assert raw >= len(kept) > 0
     assert peak < 64 * 1024 * 1024, peak

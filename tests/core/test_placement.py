@@ -1,5 +1,6 @@
 """Tests for the end-to-end HIPO solver (Theorem 4.2 pipeline)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,10 +82,14 @@ def test_greedy_vs_exhaustive_on_candidates():
     if cs.num_candidates > 60:
         # Thin deterministically to keep exhaustive search tractable.
         keep = list(range(0, cs.num_candidates, cs.num_candidates // 60 + 1))
-        cs.strategies = [cs.strategies[k] for k in keep]
-        cs.approx_power = cs.approx_power[keep]
-        cs.exact_power = cs.exact_power[keep]
-        cs.part_of = [cs.part_of[k] for k in keep]
+        cs = dataclasses.replace(
+            cs,
+            approx_power=cs.approx_power[keep],
+            exact_power=cs.exact_power[keep],
+            part_of=[cs.part_of[k] for k in keep],
+            positions=cs.positions[keep],
+            orientations=cs.orientations[keep],
+        )
     ev = sc.evaluator()
     obj = ChargingUtilityObjective(cs.approx_power, ev.thresholds)
     _strats, greedy = select_strategies(sc, cs)

@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.candidates import CandidateGenerator
 from repro.core.reuse import CANDIDATE_BLOB_MAGIC
 from repro.io import strategies_to_list
-from repro.model import ChargerType
+from repro.model import ChargerType, Strategy
 from repro.obs import MetricsRegistry
 
 from conftest import simple_scenario
@@ -234,6 +234,28 @@ def test_warm_start_solve_is_byte_identical():
     swept = solve_hipo(sc.with_budgets({"ct": 3}), candidate_cache=cache)
     assert cache.stats()["hits"] == 2
     assert fingerprint(swept) == fingerprint(solve_hipo(sc.with_budgets({"ct": 3})))
+
+
+def test_solves_build_only_the_selected_strategies(monkeypatch):
+    """Neither extraction nor decoding builds a Strategy: a cold and a warm
+    solve each construct exactly the strategies they select."""
+    built = []
+    real = Strategy.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Strategy, "__post_init__", counted)
+    sc = scenario()
+    cache = CandidateSetCache()
+    cold = solve_hipo(sc, candidate_cache=cache)
+    assert len(built) == len(cold.strategies) > 0
+    built.clear()
+    warm = solve_hipo(sc, candidate_cache=cache)
+    assert cache.stats()["hits"] == 1
+    assert len(built) == len(warm.strategies)
+    assert fingerprint(warm) == fingerprint(cold)
 
 
 def test_probe_or_miss_counts_only_the_miss():

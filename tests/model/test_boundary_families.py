@@ -14,10 +14,15 @@ device's receiving cone and :func:`repro.geometry.line_of_sight` on the
 endpoints without properly crossing an edge, are where the contact rule
 of DESIGN.md §6 matters; on those the kernels are also held to an exact
 rational reference of the rule.
+
+Zero budgets are a boundary of the discrete problem: a type with budget 0
+is dropped from extraction, and with every budget 0 the candidate set is
+empty.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -26,8 +31,15 @@ import numpy as np
 import pytest
 
 from repro.backend import use_backend
+from repro.core import (
+    CandidateSetCache,
+    build_candidate_set,
+    deserialize_candidate_set,
+    serialize_candidate_set,
+    solve_hipo,
+)
 from repro.geometry import EPS, Polygon, line_of_sight, point_on_segment, rectangle
-from repro.model import ChargerType, Device, DeviceType, PowerEvaluator
+from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Scenario
 
 from conftest import make_table
 
@@ -223,3 +235,75 @@ def test_grazing_pairs_match_line_of_sight(backend):
                 assert line_of_sight(p, q, obstacles) != _enters_interior(p, q, obstacles), (p, q)
         grazing_pairs += int(grazing.sum())
     assert grazing_pairs >= 54
+
+
+WIDE = ChargerType("wide", math.pi, 0.5, 3.0)
+FAR = ChargerType("far", math.pi / 3.0, 2.0, 6.0)
+
+
+def _budget_scene(budgets: dict[str, int]) -> Scenario:
+    """The edge and vertex devices of the first two families around the box
+    and the wedge, with three charger types."""
+    devices = FAMILIES["device-on-obstacle-edge"][1] + FAMILIES["device-at-obstacle-vertex"][1]
+    return Scenario(
+        bounds=(0.0, 0.0, 10.0, 10.0),
+        devices=tuple(dataclasses.replace(d, threshold=2.0) for d in devices),
+        obstacles=(BOX, WEDGE),
+        charger_types=(CT, WIDE, FAR),
+        budgets=budgets,
+        table=make_table([CT, WIDE, FAR], [OMNI, HALF, NARROW]),
+    )
+
+
+def _placement(solution) -> list:
+    return [(s.position, s.orientation, s.ctype.name) for s in solution.strategies]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pyloop"])
+@pytest.mark.parametrize("zero", [CT.name, WIDE.name, FAR.name])
+def test_zero_budget_type_is_left_out(zero, backend):
+    """A type with budget 0 has no candidates, no position count and no
+    charger in the placement, which equals the placement (and utility) of
+    the scenario without that type."""
+    budgets = {CT.name: 2, WIDE.name: 1, FAR.name: 1}
+    scenario = _budget_scene({**budgets, zero: 0})
+    q = [ct.name for ct in scenario.charger_types].index(zero)
+    del budgets[zero]
+    without = scenario.with_charger_types(
+        [ct for ct in scenario.charger_types if ct.name != zero], budgets
+    )
+    with use_backend(backend):
+        solution = solve_hipo(scenario, keep_candidates=True)
+        reference = solve_hipo(without)
+    cs = solution.candidate_set
+    assert cs.num_candidates > 0
+    assert q not in cs.part_of
+    assert zero not in cs.positions_per_type
+    assert zero not in {name for _, _, name in _placement(solution)}
+    assert _placement(solution) == _placement(reference)
+    assert solution.utility == reference.utility > 0.0
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pyloop"])
+def test_all_budgets_zero_give_an_empty_set(backend):
+    """All budgets 0: an empty candidate set that round-trips the codec,
+    hits the cache and solves to utility 0 with no strategies."""
+    scenario = _budget_scene({CT.name: 0, WIDE.name: 0, FAR.name: 0})
+    n = scenario.num_devices
+    with use_backend(backend):
+        cs = build_candidate_set(scenario)
+        cache = CandidateSetCache()
+        cold = solve_hipo(scenario, candidate_cache=cache)
+        warm = solve_hipo(scenario, candidate_cache=cache, keep_candidates=True)
+    blob = serialize_candidate_set(cs)
+    for got in (cs, deserialize_candidate_set(blob), deserialize_candidate_set(blob, scenario)):
+        assert got.approx_power.shape == got.exact_power.shape == (0, n)
+        assert got.positions.shape == (0, 2) and got.orientations.shape == (0,)
+        assert got.part_of == [] and got.strategies == []
+        assert got.positions_per_type == {}
+        assert serialize_candidate_set(got) == blob
+    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+    assert warm.candidate_set.num_candidates == 0
+    for solution in (cold, warm):
+        assert solution.utility == solution.approx_utility == 0.0
+        assert solution.strategies == []
