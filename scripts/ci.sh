@@ -17,8 +17,9 @@
 # entry points (benchmarks/, examples/), then the strict-typing gate
 # (scripts/typecheck.sh).
 #
-# After tier-1 the intersection-kernel property tests and the extraction
-# digests re-run under the Hypothesis "ci" profile (more examples), and
+# After tier-1 the intersection-kernel property tests, the extraction
+# digests and the batched-position corpus re-run under the Hypothesis
+# "ci" profile (more examples), and
 # three examples that read the candidate-set API run to completion.
 #
 # The serve stress test (tests/serve/test_stress.py) is the runtime check
@@ -59,12 +60,13 @@ python -m pytest -x -q
 # The batch intersection kernels must equal their scalar oracles bit for
 # bit, the two kernel sets each other (the masked line-of-sight path
 # included), the boundary families the scalar coverability conditions,
-# and positions and candidate sets their recorded digests: re-run these
+# positions and candidate sets their recorded digests, and the batched
+# position pass the per-task one on the scene corpus: re-run these
 # modules under the Hypothesis "ci" profile (more examples; see
 # tests/conftest.py).  Tier-1 above keeps the default example counts.
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
     tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
-    tests/core/test_extraction_digest.py -x -q
+    tests/core/test_extraction_digest.py tests/core/test_position_batches.py -x -q
 
 # These examples call the solver, extraction and candidate-set API
 # (`solve_hipo`, `build_candidate_set`, `parallel_positions_by_type`,

@@ -19,18 +19,21 @@ Following §5 the generation is organized as independent per-device *tasks*
 over neighbour sets of radius ``2·dmax``, which both bounds the pairwise work
 and gives the unit of distribution for :mod:`repro.core.distributed`.
 
-Each task is computed in one numpy pass over all its pairs: the pairs'
-curves are padded into ``(pairs, curves)`` arrays (NaN padding, which every
-intersection kernel reports as invalid) and intersected by the broadcast
-kernels of :mod:`repro.geometry`.  The output equals the per-curve scalar
-loop point for point and in the same order (DESIGN.md §6 item 10).
+All tasks of one charger type are computed in one batched pass: the pairs
+of every task are padded into ``(pairs, curves)`` arrays (NaN padding,
+which every intersection kernel reports as invalid), cut into slices that
+cross task boundaries, and intersected by the broadcast kernels of
+:mod:`repro.geometry`; each task's points are then deduped and tested for
+feasibility in one keyed pass.  The output equals the per-curve scalar
+loop, run task by task, point for point and in the same order (DESIGN.md
+§6 item 10).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,9 +61,10 @@ __all__ = ["BoundaryCurves", "CandidateGenerator", "POSITION_ELEMENT_BUDGET"]
 #: boundary randomly".
 _CONE_SAMPLE_FRACTIONS = (-0.999, -0.5, 0.0, 0.5, 0.999)
 
-#: Bound on the candidate slots (pairs × intersection slots per pair) one
-#: batched pass of :meth:`CandidateGenerator.positions_for_task`
-#: materializes; a task with more pairs runs in consecutive slices.
+#: Bound on the candidate slots (pairs × intersection slots per pair, or
+#: devices × point-case slots per device) one kernel slice of
+#: :meth:`CandidateGenerator.positions_for_tasks` materializes; a batch
+#: with more runs in consecutive slices.
 POSITION_ELEMENT_BUDGET = 1 << 14
 
 
@@ -76,14 +80,15 @@ class BoundaryCurves:
         self.segments.extend(other.segments)
 
 
-class _CurveArrays(NamedTuple):
-    """One device's :class:`BoundaryCurves` as arrays, plus its cone samples."""
+class _CurveTable(NamedTuple):
+    """Every device's :class:`BoundaryCurves` for one charger type as arrays,
+    NaN-padded to common widths, plus the cone samples of each circle."""
 
-    center: np.ndarray  # (2,)
-    radii: np.ndarray  # (C,) level-circle radii
-    starts: np.ndarray  # (S, 2) cone-edge and hole-ray segments
-    ends: np.ndarray  # (S, 2)
-    samples: np.ndarray  # (C, 5, 2) cone samples on each level circle
+    centers: np.ndarray  # (n, 2)
+    radii: np.ndarray  # (n, C) level-circle radii
+    starts: np.ndarray  # (n, S, 2) cone-edge and hole-ray segments
+    ends: np.ndarray  # (n, S, 2)
+    samples: np.ndarray  # (n, C, 5, 2) cone samples on each level circle
 
 
 def _padded(rows: list[np.ndarray]) -> np.ndarray:
@@ -93,6 +98,18 @@ def _padded(rows: list[np.ndarray]) -> np.ndarray:
     for k, r in enumerate(rows):
         out[k, : len(r)] = r
     return out
+
+
+def _slices(count: int, per_item: int) -> list[slice]:
+    """Consecutive slices of ``range(count)`` holding at most
+    :data:`POSITION_ELEMENT_BUDGET` slots of *per_item* slots each."""
+    step = max(1, POSITION_ELEMENT_BUDGET // max(1, per_item))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _shared(a: np.ndarray, lead: int) -> np.ndarray:
+    """*a* repeated *lead* times along a new leading axis (a view)."""
+    return np.broadcast_to(a, (lead,) + a.shape)
 
 
 def _flat(pts: np.ndarray, ok: np.ndarray, lead: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +143,7 @@ class CandidateGenerator:
         self.approx = ApproxPowerCalculator(self.evaluator, scenario.charger_types, self.eps1)
         self.max_positions = max_positions
         self._device_curves: dict[tuple[str, int], BoundaryCurves] = {}
-        self._arrays: dict[tuple[str, int], _CurveArrays] = {}
+        self._tables: dict[str, _CurveTable] = {}
         self._obstacles = PolygonSet(scenario.obstacles)
         edges = [e for h in scenario.obstacles for e in h.edges()]
         self._obstacle_starts = np.array([a for a, _ in edges], dtype=float).reshape(-1, 2)
@@ -152,33 +169,34 @@ class CandidateGenerator:
         self._device_curves[key] = curves
         return curves
 
-    def _device_arrays(self, ctype: ChargerType, i: int) -> _CurveArrays:
-        """:meth:`device_curves` of device *i* as arrays (cached), with the
-        cone samples of each level circle."""
-        key = (ctype.name, i)
-        cached = self._arrays.get(key)
+    def _curve_table(self, ctype: ChargerType) -> _CurveTable:
+        """:meth:`device_curves` of every device as padded arrays (cached),
+        with the cone samples of each level circle."""
+        cached = self._tables.get(ctype.name)
         if cached is not None:
             return cached
-        curves = self.device_curves(ctype, i)
-        dev = self.scenario.devices[i]
-        center = np.asarray(dev.position, dtype=float)
-        radii = np.array([r for _, r in curves.circles], dtype=float)
+        curves = [self.device_curves(ctype, i) for i in range(self.scenario.num_devices)]
+        radii = _padded([np.array([r for _, r in c.circles], dtype=float) for c in curves])
+        segments = [np.array(c.segments, dtype=float).reshape(-1, 2, 2) for c in curves]
+        starts, ends = _padded([s[:, 0] for s in segments]), _padded([s[:, 1] for s in segments])
+        centers = np.array([dev.position for dev in self.scenario.devices], dtype=float)
         # polar_offset's arithmetic: the angles on math, the products per circle.
-        thetas = [dev.orientation + frac * dev.dtype.half_angle for frac in _CONE_SAMPLE_FRACTIONS]
-        cos = np.array([math.cos(t) for t in thetas])
-        sin = np.array([math.sin(t) for t in thetas])
+        thetas = [
+            [dev.orientation + frac * dev.dtype.half_angle for frac in _CONE_SAMPLE_FRACTIONS]
+            for dev in self.scenario.devices
+        ]
+        cos = np.array([[math.cos(t) for t in row] for row in thetas])[:, None, :]
+        sin = np.array([[math.sin(t) for t in row] for row in thetas])[:, None, :]
         samples = np.stack(
-            [center[0] + radii[:, None] * cos, center[1] + radii[:, None] * sin], axis=-1
+            [
+                centers[:, 0, None, None] + radii[:, :, None] * cos,
+                centers[:, 1, None, None] + radii[:, :, None] * sin,
+            ],
+            axis=-1,
         )
-        arrays = _CurveArrays(
-            center,
-            radii,
-            np.array([a for a, _ in curves.segments], dtype=float).reshape(-1, 2),
-            np.array([b for _, b in curves.segments], dtype=float).reshape(-1, 2),
-            samples,
-        )
-        self._arrays[key] = arrays
-        return arrays
+        table = _CurveTable(centers, radii, starts, ends, samples)
+        self._tables[ctype.name] = table
+        return table
 
     # -- neighbourhood structure (Algorithm 4) -------------------------------
 
@@ -193,27 +211,63 @@ class CandidateGenerator:
 
     # -- per-device (point-case) candidates ----------------------------------
 
-    def _device_points(self, ctype: ChargerType, i: int) -> np.ndarray:
-        """Candidates from device *i* alone (Algorithm 2, step 8 and
-        Algorithm 4, step 10), per level circle: its intersections with the
-        device's segments and the obstacle edges, then its cone samples."""
-        ca = self._device_arrays(ctype, i)
-        starts = np.concatenate([ca.starts, self._obstacle_starts])
-        ends = np.concatenate([ca.ends, self._obstacle_ends])
+    def _device_points(
+        self, ctype: ChargerType, devices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates from each of *devices* alone (Algorithm 2, step 8 and
+        Algorithm 4, step 10), device by device as one batched pass, with
+        the device of each point.  Per level circle: its intersections with
+        the device's segments and the obstacle edges, then its cone
+        samples."""
+        t = self._curve_table(ctype)
+        nd = len(devices)
+        center = t.centers[devices]
+        radii = t.radii[devices]
+        starts = np.concatenate([t.starts[devices], _shared(self._obstacle_starts, nd)], axis=1)
+        ends = np.concatenate([t.ends[devices], _shared(self._obstacle_ends, nd)], axis=1)
         hits, ok = circle_segment_points(
-            ca.center[0], ca.center[1], ca.radii[:, None],
-            starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
+            center[:, 0, None, None], center[:, 1, None, None], radii[:, :, None],
+            starts[:, None, :, 0], starts[:, None, :, 1], ends[:, None, :, 0], ends[:, None, :, 1],
         )
-        pts, ok = _flat(hits, ok, len(ca.radii))
-        pts = np.concatenate([pts, ca.samples], axis=1)
-        ok = np.concatenate([ok, np.ones(ca.samples.shape[:2], dtype=bool)], axis=1)
-        return pts[ok]
+        nc = radii.shape[1]
+        pts = np.concatenate([hits.reshape(nd, nc, -1, 2), t.samples[devices]], axis=2)
+        circle = np.broadcast_to(~np.isnan(radii)[:, :, None], (nd, nc, t.samples.shape[2]))
+        ok = np.concatenate([ok.reshape(nd, nc, -1), circle], axis=2).reshape(nd, -1)
+        return pts.reshape(nd, -1, 2)[ok], np.repeat(devices, ok.sum(axis=1))
 
     # -- per-pair candidates (Algorithm 2 steps 1-7 / Algorithm 4 steps 2-9) --
 
-    def _pair_points(self, ctype: ChargerType, i: int, js: list[int]) -> np.ndarray:
-        """Candidates targeting joint coverage of device *i* with each of
-        *js*, pair by pair in the order of *js*, as one batched pass.
+    def _pairs(
+        self, ctype: ChargerType, tasks: Sequence[int], cancel
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs ``(i, j)`` of every task *i* in *tasks*, in task order:
+        *i* with each neighbour ``j > i`` whose distance ``dij`` lies in
+        ``[EPS, 2·dmax + EPS]``.  Returns ``(I, J, dij)``; *cancel* is
+        polled once per task."""
+        centers = self._curve_table(ctype).centers.tolist()
+        limit = 2.0 * ctype.dmax + EPS
+        rows = []
+        for i in tasks:
+            check_cancel(cancel)
+            oi = centers[i]
+            for j in self.neighbor_indices(ctype, i):
+                if j > i:
+                    # Pair-level scalars stay on math: math.hypot and
+                    # np.hypot disagree in the last bit on ~0.6 % of inputs.
+                    dij = distance(oi, centers[j])
+                    if EPS <= dij <= limit:
+                        rows.append((i, int(j), dij))
+        if not rows:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        I, J, dij = zip(*rows)
+        return np.array(I, dtype=np.intp), np.array(J, dtype=np.intp), np.array(dij)
+
+    def _pair_points(
+        self, ctype: ChargerType, I: np.ndarray, J: np.ndarray, dij: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates targeting joint coverage of each pair ``(I[p], J[p])``
+        at distance ``dij[p]``, pair by pair, as one batched pass, with the
+        task ``I[p]`` of each point.
 
         Per pair the curves are *i*'s level circles then *j*'s, and *i*'s
         segments, then *j*'s, then the obstacle edges.  Each pair emits, in
@@ -222,37 +276,19 @@ class CandidateGenerator:
         segments; then *i*'s circles against *j*'s.
         """
         dmax = ctype.dmax
-        ci = self._device_arrays(ctype, i)
-        oi = ci.center
-        # Pair-level scalars stay on math: math.hypot and np.hypot disagree
-        # in the last bit on ~0.6 % of inputs.
-        pairs = [(cj, distance(oi, cj.center)) for cj in (self._device_arrays(ctype, j) for j in js)]
-        pairs = [(cj, dij) for cj, dij in pairs if EPS <= dij <= 2.0 * dmax + EPS]
-        if not pairs:
-            return np.zeros((0, 2))
-        npairs = len(pairs)
-        oj = np.array([cj.center for cj, _ in pairs])
-        dij = np.array([d for _, d in pairs])
-
-        def shared(a: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(a, (npairs,) + a.shape)
-
-        rj = _padded([cj.radii for cj, _ in pairs])
-        nci, ncj = len(ci.radii), rj.shape[1]
-        radii = np.concatenate([shared(ci.radii), rj], axis=1)
-        centers = np.concatenate(
-            [shared(np.broadcast_to(oi, (nci, 2))), np.broadcast_to(oj[:, None], (npairs, ncj, 2))],
-            axis=1,
-        )
+        npairs = len(I)
+        if not npairs:
+            return np.zeros((0, 2)), np.zeros(0, dtype=np.intp)
+        t = self._curve_table(ctype)
+        oi, oj = t.centers[I], t.centers[J]
+        ri, rj = t.radii[I], t.radii[J]
+        nc = ri.shape[1]
+        radii = np.concatenate([ri, rj], axis=1)
+        centers = np.repeat(np.stack([oi, oj], axis=1), nc, axis=1)  # (pair, curve, xy)
         cx, cy = centers[..., 0], centers[..., 1]
-        starts = np.concatenate(
-            [shared(ci.starts), _padded([cj.starts for cj, _ in pairs]), shared(self._obstacle_starts)],
-            axis=1,
-        )
-        ends = np.concatenate(
-            [shared(ci.ends), _padded([cj.ends for cj, _ in pairs]), shared(self._obstacle_ends)],
-            axis=1,
-        )
+        edges = _shared(self._obstacle_starts, npairs), _shared(self._obstacle_ends, npairs)
+        starts = np.concatenate([t.starts[I], t.starts[J], edges[0]], axis=1)
+        ends = np.concatenate([t.ends[I], t.ends[J], edges[1]], axis=1)
         sx, sy, ex, ey = starts[..., 0], starts[..., 1], ends[..., 0], ends[..., 1]
 
         blocks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -273,13 +309,13 @@ class CandidateGenerator:
             arc = np.full((npairs, 2, 2), np.nan)  # (pair, arc, xy)
             arc_r = np.full(npairs, np.nan)
             arc_d = np.full((npairs, 2, 2), np.nan)  # (pair, arc, device i / j)
-            for p, (cj, _) in enumerate(pairs):
-                centers, arc_r[p] = inscribed_angle_arc_centers(oi, cj.center, ctype.charging_angle)
-                for k, ac in enumerate(centers):
+            for p, (pi, pj) in enumerate(zip(oi.tolist(), oj.tolist())):
+                arc_centers, arc_r[p] = inscribed_angle_arc_centers(pi, pj, ctype.charging_angle)
+                for k, ac in enumerate(arc_centers):
                     arc[p, k] = ac
-                    arc_d[p, k] = distance(ac, oi), distance(ac, cj.center)
+                    arc_d[p, k] = distance(ac, pi), distance(ac, pj)
             d = np.concatenate(
-                [np.repeat(arc_d[:, :, :1], nci, axis=2), np.repeat(arc_d[:, :, 1:], ncj, axis=2)],
+                [np.repeat(arc_d[:, :, :1], nc, axis=2), np.repeat(arc_d[:, :, 1:], nc, axis=2)],
                 axis=2,
             )
             acx, acy, ar = arc[:, :, 0, None], arc[:, :, 1, None], arc_r[:, None, None]
@@ -295,7 +331,8 @@ class CandidateGenerator:
                 axis=2,
             )
             ok = np.concatenate(
-                [on_circles[1].reshape(npairs, 2, -1), on_segments[1].reshape(npairs, 2, -1)], axis=2
+                [on_circles[1].reshape(npairs, 2, -1), on_segments[1].reshape(npairs, 2, -1)],
+                axis=2,
             )
             blocks.append(_flat(pts, ok, npairs))
 
@@ -304,7 +341,7 @@ class CandidateGenerator:
         blocks.append(
             _flat(
                 *circle_circle_points(
-                    oi[0], oi[1], ci.radii[None, :, None],
+                    oi[:, 0, None, None], oi[:, 1, None, None], ri[:, :, None],
                     oj[:, 0, None, None], oj[:, 1, None, None], rj[:, None, :],
                     dij[:, None, None],
                 ),
@@ -317,41 +354,96 @@ class CandidateGenerator:
         # Only positions that can reach both devices matter for this pair.
         bound = dmax + EPS
         with np.errstate(invalid="ignore"):
-            keep &= (np.abs(pts - oi) <= bound).all(axis=2)
-            keep &= np.hypot(pts[..., 0] - oi[0], pts[..., 1] - oi[1]) <= bound
+            keep &= (np.abs(pts - oi[:, None]) <= bound).all(axis=2)
+            keep &= np.hypot(pts[..., 0] - oi[:, :1], pts[..., 1] - oi[:, 1:]) <= bound
             keep &= np.hypot(pts[..., 0] - oj[:, :1], pts[..., 1] - oj[:, 1:]) <= bound
-        return pts[keep]
+        return pts[keep], np.repeat(I, keep.sum(axis=1))
 
     def positions_for_pair(self, ctype: ChargerType, i: int, j: int) -> list[np.ndarray]:
         """Candidates targeting joint coverage of devices *i* and *j*."""
-        return list(self._pair_points(ctype, i, [j]))
+        centers = self._curve_table(ctype).centers.tolist()
+        dij = distance(centers[i], centers[j])
+        if not EPS <= dij <= 2.0 * ctype.dmax + EPS:
+            return []
+        pair = np.array([i], dtype=np.intp), np.array([j], dtype=np.intp), np.array([dij])
+        return list(self._pair_points(ctype, *pair)[0])
 
     # -- per-task and per-type aggregation ------------------------------------
 
-    def positions_for_task(self, ctype: ChargerType, i: int) -> np.ndarray:
-        """Algorithm 4: all candidates of the task owned by device *i* —
-        its point-case candidates plus pair candidates with every neighbour
-        of larger index (avoiding duplicate pair work across tasks)."""
-        js = [int(j) for j in self.neighbor_indices(ctype, i) if j > i]
-        chunks = [self._device_points(ctype, i)]
-        step = max(1, POSITION_ELEMENT_BUDGET // max(1, self._pair_slots(ctype, i, js)))
-        for lo in range(0, len(js), step):
-            chunks.append(self._pair_points(ctype, i, js[lo : lo + step]))
-        pts = np.concatenate(chunks)
-        if not len(pts):
+    def positions_for_tasks(
+        self, ctype: ChargerType, tasks: Sequence[int], *, cancel=None
+    ) -> np.ndarray:
+        """Algorithm 4 for every task *i* in *tasks* (ascending), as one
+        batched pass: each task's point-case candidates plus its pair
+        candidates with every neighbour of larger index (avoiding duplicate
+        pair work across tasks), deduplicated and feasible per task, and
+        concatenated in task order.
+
+        The pairs of all tasks are cut into kernel slices of at most
+        :data:`POSITION_ELEMENT_BUDGET` slots that cross task boundaries.
+        After the last slice, and after any slice that leaves more than
+        that budget of pair points held, the tasks all of whose pairs have
+        run are finished: their point-case candidates are computed (in
+        slices of the same budget) and merged with their pair candidates,
+        each task's point-case candidates first — the order of the scalar
+        loop run task by task — then deduped per task and tested for
+        feasibility.  So the points held between slices stay near the
+        budget plus one unfinished task's.
+
+        The *cancel* token (see :mod:`repro.core.cancel`) is polled once
+        per task while the pairs are listed, and between kernel slices.
+        """
+        tasks = np.asarray(tasks, dtype=np.intp)
+        if not len(tasks):
             return np.zeros((0, 2))
-        return self._feasible(pts)
+        I, J, dij = self._pairs(ctype, tasks, cancel)
+        t = self._curve_table(ctype)
+        nc, ns = t.radii.shape[1], t.starts.shape[1]
+        nedges = len(self._obstacle_starts)
+        circles, segments = 2 * nc, 2 * ns + nedges
+        per_pair = 2 * circles + segments + 2 * (2 * circles + 2 * segments) + 2 * nc * nc
+        per_device = nc * (2 * (ns + nedges) + t.samples.shape[2])
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
+        chunks = []
+        done = 0
+        # Without pairs, one empty slice still finishes every task.
+        for k, sl in enumerate(_slices(len(I), per_pair) or [slice(0, 0)]):
+            if k:
+                check_cancel(cancel)
+            pending.append(self._pair_points(ctype, I[sl], J[sl], dij[sl]))
+            held = sum(len(p) for p, _ in pending)
+            if sl.stop < len(I) and held < POSITION_ELEMENT_BUDGET:
+                continue
+            # Tasks before the next slice's first pair have all their pairs.
+            end = len(tasks) if sl.stop >= len(I) else int(np.searchsorted(tasks, I[sl.stop]))
+            if end == done:
+                continue
+            pts = np.concatenate([p for p, _ in pending])
+            labels = np.concatenate([lab for _, lab in pending])
+            for sub in _slices(end - done, per_device):
+                group = tasks[done:end][sub]
+                cut = int(np.searchsorted(labels, group[-1], side="right"))
+                dev, dev_labels = self._device_points(ctype, group)
+                group_pts = np.concatenate([dev, pts[:cut]])
+                group_labels = np.concatenate([dev_labels, labels[:cut]])
+                order = np.argsort(group_labels, kind="stable")
+                chunks.append(self._feasible(group_pts[order], group_labels[order]))
+                pts, labels = pts[cut:], labels[cut:]
+            pending = [(pts, labels)]
+            done = end
+        return np.concatenate(chunks)
+
+    def positions_for_task(self, ctype: ChargerType, i: int) -> np.ndarray:
+        """Algorithm 4: all candidates of the task owned by device *i* (the
+        one-task call of :meth:`positions_for_tasks`)."""
+        return self.positions_for_tasks(ctype, [i])
 
     def positions(self, ctype: ChargerType, *, cancel=None) -> np.ndarray:
-        """All candidate positions for *ctype*, deduplicated and feasible.
-
-        The *cancel* token (see :mod:`repro.core.cancel`) is polled before
-        each per-device task."""
-        chunks = []
-        for i in range(self.scenario.num_devices):
-            check_cancel(cancel)
-            chunks.append(self.positions_for_task(ctype, i))
-        return self.gather(chunks)
+        """All candidate positions for *ctype*, deduplicated and feasible:
+        every device task in one :meth:`positions_for_tasks` pass, then
+        :meth:`gather`.  The *cancel* token is polled as that pass says."""
+        tasks = range(self.scenario.num_devices)
+        return self.gather([self.positions_for_tasks(ctype, tasks, cancel=cancel)])
 
     def gather(self, chunks: list[np.ndarray]) -> np.ndarray:
         """Merge per-task candidate chunks (in device order) into one
@@ -373,22 +465,10 @@ class CandidateGenerator:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _pair_slots(self, ctype: ChargerType, i: int, js: list[int]) -> int:
-        """Upper bound on the intersection slots one pair of task *i* fills
-        in :meth:`_pair_points` (2 per curve pair with circles, 1 per
-        line × segment)."""
-        if not js:
-            return 0
-        ci = self._device_arrays(ctype, i)
-        cjs = [self._device_arrays(ctype, j) for j in js]
-        nci = len(ci.radii)
-        circles = nci + max(len(c.radii) for c in cjs)
-        segments = len(ci.starts) + max(len(c.starts) for c in cjs) + len(self._obstacle_starts)
-        return 2 * circles + segments + 2 * (2 * circles + 2 * segments) + 2 * nci * (circles - nci)
-
-    def _feasible(self, pts: np.ndarray) -> np.ndarray:
-        """Dedupe and keep only points inside the region and outside obstacles."""
-        pts = dedupe_points(pts)
+    def _feasible(self, pts: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+        """Dedupe each task's points (*tasks* labels every point), then keep
+        only points inside the region and outside obstacles."""
+        pts = dedupe_points(pts, labels=tasks)
         if len(pts) == 0:
             return pts
         xmin, ymin, xmax, ymax = self.scenario.bounds

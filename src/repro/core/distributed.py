@@ -70,7 +70,8 @@ class ExtractionWorkerLost(RuntimeError):
 def position_task(gen: CandidateGenerator, i: int) -> dict[str, np.ndarray]:
     """Algorithm 5's unit of work: the candidates of device *i*'s task for
     every charger type with a non-zero budget (types with no candidates
-    are omitted)."""
+    are omitted), each the one-task call of the batched pass the serial
+    :meth:`CandidateGenerator.positions` runs over all tasks."""
     out: dict[str, np.ndarray] = {}
     for ct in gen.scenario.charger_types:
         if gen.scenario.budgets.get(ct.name, 0) == 0:

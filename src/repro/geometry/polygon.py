@@ -21,7 +21,9 @@ __all__ = ["Polygon", "PolygonSet", "convex_hull", "regular_polygon", "rectangle
 
 #: Bound on the (point, edge) slots one :meth:`PolygonSet.interior_mask`
 #: pass materializes; larger inputs are processed in slices of this size.
-INTERIOR_ELEMENT_BUDGET = 1 << 16
+#: A slot costs about 110 bytes of temporaries (the edge copies, the
+#: crossing and on-segment tests), so a slice peaks near 0.9 MB.
+INTERIOR_ELEMENT_BUDGET = 1 << 13
 
 
 class Polygon:

@@ -126,17 +126,27 @@ def dot2(u: Sequence[float], v: Sequence[float]) -> float:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def dedupe_points(points: np.ndarray, *, tol: float = 1e-7) -> np.ndarray:
+def dedupe_points(
+    points: np.ndarray, *, tol: float = 1e-7, labels: np.ndarray | None = None
+) -> np.ndarray:
     """Remove near-duplicate rows from an ``(n, 2)`` point array.
 
     Points are snapped onto a grid of pitch *tol*; one representative per
     occupied cell is kept (the first).  Order of first occurrence is
-    preserved.  O(n) — suitable for the large candidate sets produced by the
-    PDCS extraction.
+    preserved.  With *labels* (``(n,)`` integers) the cell is keyed by
+    ``(label, cell)``: equal points under different labels are all kept,
+    which dedupes many labelled groups in one pass.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, 2)
     keys = np.round(pts / tol).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    columns = (keys[:, 1], keys[:, 0]) if labels is None else (keys[:, 1], keys[:, 0], labels)
+    # lexsort is stable, so each cell's run starts at its first occurrence.
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for col in columns:
+        ranked = col[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return pts[np.sort(order[first])]

@@ -50,7 +50,10 @@ class AdditivePowerObjective(ABC):
     """
 
     def __init__(self, power_matrix: np.ndarray, thresholds: np.ndarray, *, scale: float | None = None):
-        self.P = np.asarray(power_matrix, dtype=float)
+        # Aligned once here: a decoded candidate set's matrix is a view at
+        # any byte offset of its blob, and numpy would otherwise copy the
+        # whole matrix on every take() of a greedy round.
+        self.P = np.require(power_matrix, dtype=float, requirements="A")
         if self.P.ndim != 2:
             raise ValueError("power matrix must be 2-D (candidates x devices)")
         self.thresholds = np.asarray(thresholds, dtype=float)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CandidateGenerator, SolveCancelled, solve_hipo
+from repro.core import CandidateGenerator, SolveCancelled, candidates, solve_hipo
 from repro.experiments import small_scenario
 from repro.io import scenario_to_dict
 from repro.obs import Tracer
@@ -47,6 +47,21 @@ class TripOnCall:
         return self.calls >= self.k
 
 
+def _count_kernels(monkeypatch) -> list[str]:
+    """Record, in order, every intersection-kernel call position generation
+    makes from now on."""
+    calls: list[str] = []
+    for name in ("circle_segment_points", "circle_circle_points", "segment_points"):
+        kernel = getattr(candidates, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(candidates, name, counted)
+    return calls
+
+
 def _scenario():
     return small_scenario(np.random.default_rng(7), num_devices=4)
 
@@ -74,25 +89,52 @@ def test_solve_raises_when_token_trips_inside_sweeps(workers):
 
 
 def test_serial_solve_stops_between_position_tasks(monkeypatch):
-    """In-process, the token is polled before each per-device task inside
-    ``CandidateGenerator.positions``: a token tripping on its second poll
-    stops the solve after one task, before the ``sweeps`` span opens."""
+    """In-process, the token is polled once per device task inside the
+    batched ``CandidateGenerator.positions_for_tasks`` pass, while its
+    pairs are listed: a token tripping on its second poll stops the solve
+    inside the first type's pass, before any intersection kernel runs and
+    before the ``sweeps`` span opens."""
     scenario = _scenario()
-    tasks = []
-    run_task = CandidateGenerator.positions_for_task
+    batches = []
+    run_batch = CandidateGenerator.positions_for_tasks
 
-    def counted(self, ctype, i):
-        tasks.append((ctype.name, i))
-        return run_task(self, ctype, i)
+    def counted(self, ctype, tasks, **kw):
+        batches.append((ctype.name, tuple(tasks)))
+        return run_batch(self, ctype, tasks, **kw)
 
-    monkeypatch.setattr(CandidateGenerator, "positions_for_task", counted)
+    monkeypatch.setattr(CandidateGenerator, "positions_for_tasks", counted)
+    kernels = _count_kernels(monkeypatch)
     tracer = Tracer()
     token = TripOnCall(2, tracer)
     with pytest.raises(SolveCancelled):
         solve_hipo(scenario, workers=1, tracer=tracer, cancel=token)
     first = next(ct for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
-    assert tasks == [(first.name, 0)]
+    assert batches == [(first.name, tuple(range(scenario.num_devices)))]
+    assert kernels == []
     assert token.spans == ["positions", "positions"]
+    assert tracer.find("positions").status == "error"
+    assert tracer.find("sweeps") is None
+
+
+def test_serial_solve_stops_between_position_slices(monkeypatch):
+    """The batched pass also polls between kernel slices: with one pair
+    per slice, a token tripping on the first poll after the first slice
+    stops the solve before the second slice's kernels run."""
+    scenario = _scenario()
+    monkeypatch.setattr(candidates, "POSITION_ELEMENT_BUDGET", 1)
+    kernels = _count_kernels(monkeypatch)
+    tracer = Tracer()
+    token = TripOnCall(scenario.num_devices + 1, tracer)
+    with pytest.raises(SolveCancelled):
+        solve_hipo(scenario, workers=1, tracer=tracer, cancel=token)
+    first = next(ct for ct in scenario.charger_types if scenario.budgets.get(ct.name, 0) > 0)
+    gen = CandidateGenerator(scenario)
+    pairs = [(i, j) for i in range(scenario.num_devices) for j in gen.neighbor_indices(first, i)]
+    assert sum(1 for i, j in pairs if j > i) > 1
+    # segment_points runs once per pair slice (the pair line against the
+    # segments), so exactly one slice's kernels ran.
+    assert kernels.count("segment_points") == 1
+    assert token.spans == ["positions"] * token.k
     assert tracer.find("positions").status == "error"
     assert tracer.find("sweeps") is None
 

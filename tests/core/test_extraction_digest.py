@@ -397,6 +397,26 @@ def test_position_task_memory_is_bounded():
     assert peak < 4 * 1024 * 1024, peak
 
 
+def test_position_type_pass_memory_is_bounded():
+    """The batched pass over all 40 tasks of the same scene keeps its
+    intermediates (everything beyond the returned points) under the same
+    4 MB: pairs are sliced by ``POSITION_ELEMENT_BUDGET`` across tasks, and
+    finished tasks are deduped and tested as the slices go rather than all
+    raw points of the type at once."""
+    scenario = _dense_obstacle_scene()
+    gen = CandidateGenerator(scenario)
+    ct = scenario.charger_types[0]
+    gen.positions_for_task(ct, 0)  # curves built outside the measured window
+    tracemalloc.start()
+    try:
+        pts = gen.positions_for_tasks(ct, range(40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) > 40_000
+    assert peak - pts.nbytes < 4 * 1024 * 1024, (peak, pts.nbytes)
+
+
 def test_sweep_chunk_memory_is_bounded():
     """A dense chunk (128 positions seeing 64 coverable devices each) keeps
     the batched sweep's intermediates under 64 MB."""

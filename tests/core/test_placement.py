@@ -74,11 +74,12 @@ def test_solver_deterministic():
     assert [s.position for s in s1.strategies] == [s.position for s in s2.strategies]
 
 
-def test_greedy_vs_exhaustive_on_candidates():
+def _greedy_vs_exhaustive(devices, raw):
     """The greedy achieves >= 1/2 of the optimum over the same candidate set
     (here we verify against exhaustive search, usually it is optimal)."""
-    sc = simple_scenario([(6.0, 10.0), (10.0, 10.0), (14.0, 10.0)], budget=2, threshold=0.3)
+    sc = simple_scenario(devices, budget=2, threshold=0.3)
     cs = build_candidate_set(sc)
+    assert cs.num_candidates == raw
     if cs.num_candidates > 60:
         # Thin deterministically to keep exhaustive search tractable.
         keep = list(range(0, cs.num_candidates, cs.num_candidates // 60 + 1))
@@ -90,11 +91,26 @@ def test_greedy_vs_exhaustive_on_candidates():
             positions=cs.positions[keep],
             orientations=cs.orientations[keep],
         )
+        assert cs.num_candidates == len(keep) <= 60
     ev = sc.evaluator()
     obj = ChargingUtilityObjective(cs.approx_power, ev.thresholds)
-    _strats, greedy = select_strategies(sc, cs)
-    best = exhaustive_best(obj, cs.matroid())
+    matroid = cs.matroid()
+    # Exhaustive search and the greedy both see the (thinned) set.
+    assert obj.num_candidates == matroid.ground_size == cs.num_candidates
+    strats, greedy = select_strategies(sc, cs)
+    assert {s.position for s in strats} <= {tuple(p) for p in cs.positions.tolist()}
+    best = exhaustive_best(obj, matroid)
     assert greedy.value >= 0.5 * best.value - 1e-9
+
+
+def test_greedy_vs_exhaustive_on_candidates():
+    _greedy_vs_exhaustive([(6.0, 10.0), (10.0, 10.0), (14.0, 10.0)], 43)
+
+
+def test_greedy_vs_exhaustive_on_thinned_candidates():
+    """A fourth device lifts the set above 60 candidates, so the thinning
+    branch runs and exhaustive search sees the thinned set."""
+    _greedy_vs_exhaustive([(6.0, 10.0), (10.0, 10.0), (14.0, 10.0), (10.0, 14.0)], 111)
 
 
 def test_lazy_and_algorithm3_order_agree_on_value():

@@ -138,3 +138,51 @@ def test_dedupe_points_preserves_first_occurrence_order():
     pts = np.array([[3.0, 3.0], [1.0, 1.0], [3.0, 3.0]])
     out = dedupe_points(pts)
     assert np.allclose(out, [[3.0, 3.0], [1.0, 1.0]])
+
+
+def _dedupe_oracle(points, tol=1e-7, labels=None):
+    """``dedupe_points`` as it was written on ``np.unique(keys, axis=0)``;
+    *labels* become a leading key column."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    keys = np.round(pts / tol).astype(np.int64)
+    if labels is not None:
+        keys = np.column_stack([labels, keys])
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    return pts[np.sort(idx)]
+
+
+@st.composite
+def near_duplicate_points(draw):
+    """Points clustered within a few grid cells of pitch 1e-7 around a
+    (possibly negative) origin: exact repeats, sub-cell jitter and points
+    one cell apart, in random order, with a small label per point."""
+    origin = draw(st.sampled_from([0.0, -1.0, -37.25, 12.5, 1e3]))
+    cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    jitter = st.sampled_from([0.0, 0.0, 0.25, -0.25, 0.45, 1.0, -1.0])
+    base = draw(st.lists(st.tuples(cell, jitter, jitter), max_size=30))
+    pts = [
+        (origin + (cx + jx) * 1e-7, origin + (cy + jy) * 1e-7) for (cx, cy), jx, jy in base
+    ]
+    repeats = draw(st.lists(st.integers(0, max(0, len(pts) - 1)), max_size=10)) if pts else []
+    pts += [pts[k] for k in repeats]
+    order = draw(st.permutations(range(len(pts))))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    points = np.array([pts[k] for k in order], dtype=float).reshape(-1, 2)
+    return points, np.array(labels, dtype=np.intp)
+
+
+@given(near_duplicate_points())
+def test_dedupe_points_equals_unique_oracle(case):
+    pts, labels = case
+    out = dedupe_points(pts)
+    assert out.tobytes() == _dedupe_oracle(pts).tobytes() and out.shape == (len(out), 2)
+    labelled = dedupe_points(pts, labels=labels)
+    assert labelled.tobytes() == _dedupe_oracle(pts, labels=labels).tobytes()
+
+
+def test_dedupe_points_labels_keep_equal_points_apart():
+    pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+    out = dedupe_points(pts, labels=np.array([0, 0, 0, 1]))
+    assert out.tolist() == [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]

@@ -106,6 +106,31 @@ def test_in_place_gains_equal_the_broadcast():
             f.gains(current, bad)
 
 
+def test_unaligned_power_matrix_is_aligned_once():
+    """A decoded candidate set's power matrix is a view at an arbitrary
+    byte offset of its blob.  The objective aligns it once, so a gains()
+    call allocates no copy of the whole matrix, with the same gains."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    P, th = random_instance(rng, n=2000, m=40)
+    blob = b"\0" + P.tobytes()
+    unaligned = np.frombuffer(blob, dtype=np.float64, offset=1).reshape(P.shape)
+    assert not unaligned.flags.aligned
+    f = ChargingUtilityObjective(unaligned, th)
+    assert f.P.flags.aligned and f.P.tobytes() == P.tobytes()
+    pool, current = np.arange(len(P)), P[3].copy()
+    want = ChargingUtilityObjective(P, th).gains(current, pool)
+    assert f.gains(current, pool).tobytes() == want.tobytes()  # fills the scratch
+    tracemalloc.start()
+    try:
+        f.gains(current, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < P.nbytes // 4, peak
+
+
 def test_greedy_respects_partition_budgets():
     rng = np.random.default_rng(3)
     P, th = random_instance(rng, n=9)
