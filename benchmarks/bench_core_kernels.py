@@ -8,7 +8,8 @@ Algorithm-1 sweep, candidate generation, and one full HIPO solve.
 
 import numpy as np
 
-from repro.core import CandidateGenerator, extract_pdcs_many, solve_hipo
+from repro.core import CandidateGenerator, solve_hipo
+from repro.core.pdcs import sweep_orientations
 from repro.experiments import random_scenario
 from repro.geometry import visible_mask_many
 from repro.model import PowerEvaluator
@@ -54,7 +55,12 @@ def bench_pdcs_sweep(benchmark):
     ct = sc.charger_types[2]
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 40, size=(64, 2))
-    benchmark(lambda: extract_pdcs_many(ev, ct, points))
+
+    def sweep():
+        mask, _dists, bearings = ev.coverable_many(ct, points)
+        return sweep_orientations(ct, mask, bearings)
+
+    benchmark(sweep)
 
 
 def bench_candidate_generation(benchmark):

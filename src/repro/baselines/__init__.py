@@ -1,6 +1,6 @@
 """The eight comparison algorithms of §6 plus a registry including HIPO."""
 
-from .common import free_grid_points, greedy_select
+from .common import free_grid_points, select_to_budget
 from .grid_placement import grid_placement, grid_points_for_type
 from .random_placement import discretized_orientations, rpad, rpar
 from .registry import ALGORITHMS, BASELINES, run_algorithm
@@ -10,10 +10,10 @@ __all__ = [
     "BASELINES",
     "discretized_orientations",
     "free_grid_points",
-    "greedy_select",
     "grid_placement",
     "grid_points_for_type",
     "rpad",
     "rpar",
     "run_algorithm",
+    "select_to_budget",
 ]

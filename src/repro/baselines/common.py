@@ -3,7 +3,8 @@
 All eight baselines produce a list of :class:`~repro.model.Strategy` with
 exactly the budgeted number of chargers per type.  Whenever a baseline has a
 pool of candidate strategies larger than the budget (the grid-based family),
-selection uses the same greedy submodular machinery as HIPO but with *exact*
+it builds the pool as a :class:`~repro.core.CandidateSet` and selects with
+HIPO's own Algorithm 3 (:func:`~repro.core.select_strategies`) on *exact*
 powers — the baselines differ from HIPO only in how their candidate pools are
 constructed, which is precisely the comparison the paper draws.
 """
@@ -12,44 +13,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.placement import CandidateSet, select_strategies
 from ..geometry import PolygonSet
 from ..model.entities import Strategy
 from ..model.network import Scenario
-from ..opt.matroid import PartitionMatroid
-from ..opt.submodular import ChargingUtilityObjective, greedy_matroid
 
-__all__ = ["greedy_select", "free_grid_points"]
+__all__ = ["free_grid_points", "select_to_budget"]
 
 
-def greedy_select(scenario: Scenario, pools: dict[str, list[Strategy]]) -> list[Strategy]:
-    """Greedy budgeted selection from per-type candidate pools (exact power)."""
-    ev = scenario.evaluator()
-    strategies: list[Strategy] = []
-    part_of: list[int] = []
-    capacities: list[int] = []
-    for q, ct in enumerate(scenario.charger_types):
-        capacities.append(int(scenario.budgets.get(ct.name, 0)))
-        for s in pools.get(ct.name, []):
-            strategies.append(s)
-            part_of.append(q)
-    if not strategies:
-        return []
-    P = ev.power_matrix(strategies)
-    objective = ChargingUtilityObjective(P, ev.thresholds)
-    result = greedy_matroid(objective, PartitionMatroid(part_of, capacities))
-    chosen = [strategies[k] for k in result.indices]
-    # Greedy stops early when no candidate adds positive gain; budgets must
-    # still be spent (the baselines always deploy all chargers), so pad with
-    # arbitrary remaining pool members.
-    chosen_set = set(result.indices)
-    for q, ct in enumerate(scenario.charger_types):
-        want = capacities[q]
-        have = sum(1 for k in result.indices if part_of[k] == q)
-        if have < want:
-            extras = [k for k in range(len(strategies)) if part_of[k] == q and k not in chosen_set]
-            for k in extras[: want - have]:
-                chosen.append(strategies[k])
-                chosen_set.add(k)
+def select_to_budget(scenario: Scenario, candidates: CandidateSet) -> list[Strategy]:
+    """Greedy budgeted selection from *candidates* on their exact powers.
+
+    Greedy stops early when no candidate adds positive gain; budgets must
+    still be spent (the baselines always deploy all chargers), so each type
+    is padded with its unpicked candidates in row order, as far as its pool
+    reaches.
+    """
+    chosen, result = select_strategies(scenario, candidates, objective_power="exact")
+    picked = set(result.indices)
+    part_of = np.asarray(candidates.part_of, dtype=int)
+    for q, want in enumerate(candidates.capacities):
+        have = int(np.count_nonzero(part_of[result.indices] == q))
+        extras = [k for k in np.flatnonzero(part_of == q).tolist() if k not in picked]
+        chosen += [candidates.strategy(k) for k in extras[: max(0, want - have)]]
     return chosen
 
 

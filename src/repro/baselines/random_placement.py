@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from ..core.pdcs import _normalized_angles
 from ..geometry import TWO_PI
 from ..model.entities import Strategy
 from ..model.network import Scenario
@@ -48,19 +49,17 @@ def rpad(scenario: Scenario, rng: np.random.Generator) -> list[Strategy]:
     placed: list[Strategy] = []
     current = np.zeros(ev.num_devices)
     for ct in scenario.charger_types:
+        thetas = _normalized_angles(discretized_orientations(ct.charging_angle))
+        at_p = np.zeros(len(thetas), dtype=np.intp)  # every try stands at row 0
         for _ in range(scenario.budgets.get(ct.name, 0)):
             p = scenario.random_free_point(rng)
-            tries = [
-                Strategy((p[0], p[1]), float(theta), ct)
-                for theta in discretized_orientations(ct.charging_angle)
-            ]
-            powers = ev.power_matrix(tries)  # one coverability pass at p
+            powers = ev.powers_at(ct, ev.coverable_many(ct, p), at_p, thetas)
             best = 0
             best_val = -1.0
-            for k in range(len(tries)):
+            for k in range(len(thetas)):
                 val = total_utility(current + powers[k], ev.thresholds)
                 if val > best_val:
                     best, best_val = k, val
-            placed.append(tries[best])
+            placed.append(Strategy((p[0], p[1]), float(thetas[best]), ct))
             current += powers[best]
     return placed

@@ -14,14 +14,7 @@ from .distributed import (
     parallel_positions_by_type,
     simulate_distributed_times,
 )
-from .pdcs import (
-    PointStrategy,
-    candidate_keys,
-    extract_pdcs_at_point,
-    extract_pdcs_many,
-    strategies_at_point,
-    sweep_position_batch,
-)
+from .pdcs import candidate_keys, sweep_position_batch
 from .placement import (
     CandidateSet,
     HIPOSolution,
@@ -51,7 +44,6 @@ __all__ = [
     "ExtractionWorkerLost",
     "HIPOSolution",
     "PairApproximation",
-    "PointStrategy",
     "SolveCancelled",
     "TaskMeasurement",
     "active_candidate_cache",
@@ -61,8 +53,6 @@ __all__ = [
     "check_cancel",
     "deserialize_candidate_set",
     "epsilon1_for",
-    "extract_pdcs_at_point",
-    "extract_pdcs_many",
     "extraction_cache_key",
     "extraction_pool",
     "measure_task_costs",
@@ -72,7 +62,6 @@ __all__ = [
     "simulate_distributed_times",
     "solve_hipo",
     "solve_hipo_hardened",
-    "strategies_at_point",
     "sweep_position_batch",
     "use_candidate_cache",
 ]

@@ -17,23 +17,16 @@ of a one-row batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..backend import active_backend
 from ..geometry import EPS, TWO_PI
-from ..model.entities import Strategy
 from ..model.power import PowerEvaluator
 from ..model.types import ChargerType
 
 __all__ = [
-    "PointStrategy",
     "candidate_keys",
-    "extract_pdcs_at_point",
-    "extract_pdcs_many",
-    "strategies_at_point",
     "sweep_orientations",
     "sweep_position_batch",
 ]
@@ -48,14 +41,6 @@ ANG_TOL = 1e-9
 #: MB however dense the scene; typical chunks (M <= 9) fit in one
 #: sub-batch.
 SWEEP_ELEMENT_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class PointStrategy:
-    """One extracted PDCS at a point: an orientation and its covered set."""
-
-    orientation: float
-    covered: tuple[int, ...]  # device indices, ascending
 
 
 def _nondominated(coverage: np.ndarray) -> np.ndarray:
@@ -207,41 +192,3 @@ def sweep_position_batch(
         metrics.inc("extraction.candidates_raw", len(thetas))
         metrics.observe("extraction.sweep_chunk_seconds", sweep_seconds)
     return swept, len(thetas), sweep_seconds
-
-
-def extract_pdcs_many(
-    evaluator: PowerEvaluator,
-    ctype: ChargerType,
-    positions: np.ndarray,
-) -> list[list[PointStrategy]]:
-    """Algorithm 1 at every row of *positions*: the PDCSs (and witness
-    orientations) of each position, empty where no device is coverable."""
-    mask, _dists, bearings = evaluator.coverable_many(ctype, positions)
-    out: list[list[PointStrategy]] = [[] for _ in range(len(mask))]
-    rows, thetas, covered = sweep_orientations(ctype, mask, bearings)
-    for r, theta, cov in zip(rows.tolist(), thetas.tolist(), covered):
-        out[r].append(PointStrategy(theta, tuple(np.flatnonzero(cov).tolist())))
-    return out
-
-
-def extract_pdcs_at_point(
-    evaluator: PowerEvaluator,
-    ctype: ChargerType,
-    position: Sequence[float],
-) -> list[PointStrategy]:
-    """Algorithm 1: all PDCSs (and witness orientations) at *position*, the
-    one-row case of :func:`extract_pdcs_many`.
-
-    Returns an empty list when no device is coverable from here.
-    """
-    return extract_pdcs_many(evaluator, ctype, np.asarray(position, dtype=float))[0]
-
-
-def strategies_at_point(
-    evaluator: PowerEvaluator,
-    ctype: ChargerType,
-    position: Sequence[float],
-) -> list[Strategy]:
-    """Convenience: the PDCS orientations at *position* as :class:`Strategy`."""
-    pos = (float(position[0]), float(position[1]))
-    return [Strategy(pos, ps.orientation, ctype) for ps in extract_pdcs_at_point(evaluator, ctype, position)]

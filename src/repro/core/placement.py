@@ -165,9 +165,10 @@ def build_candidate_set(
     between sweep chunks; when it fires the build raises
     :class:`~repro.core.distributed.SolveCancelled`.
 
-    *positions_by_type* overrides the geometric candidate positions (used by
-    the grid baselines, the distributed extractor and the ablation benches) —
-    the PDCS orientation sweep is still applied at each given position.
+    *positions_by_type* overrides the geometric candidate positions (e.g.
+    with those of :func:`~repro.core.distributed.parallel_positions_by_type`,
+    or the dense grid of the candidate ablation bench) — the PDCS
+    orientation sweep is still applied at each given position.
 
     The sweeps are one list of tasks — :data:`DEFAULT_EXTRACTION_CHUNK`
     positions of one charger type each — whose results one loop consumes

@@ -189,13 +189,39 @@ class PowerEvaluator:
         row 0 of :meth:`power_matrix`."""
         return self.power_matrix([strategy])[0]
 
+    def powers_at(
+        self,
+        ctype: ChargerType,
+        coverable: tuple[np.ndarray, np.ndarray, np.ndarray],
+        rows: np.ndarray,
+        orientations: np.ndarray,
+    ) -> np.ndarray:
+        """Exact power rows of *ctype* chargers at rows of a coverability batch.
+
+        *coverable* is :meth:`coverable_many`'s ``(mask, dists, bearings)``
+        for a batch of positions; charger *k* stands at position
+        ``rows[k]`` of that batch, oriented ``orientations[k]`` (normalized
+        to ``[0, 2π)`` as :class:`~repro.model.Strategy` stores it).  Only
+        the charger-cone test is per charger, so any number of orientations
+        at one position share its line-of-sight pass.  Returns the
+        ``(len(rows), No)`` power matrix (Eq. 1).
+        """
+        mask, dists, bearings = coverable
+        out = np.zeros((len(rows), self.num_devices))
+        diff = np.abs(np.mod(bearings[rows] - orientations[:, None] + math.pi, TWO_PI) - math.pi)
+        hit = mask[rows] & (diff <= ctype.half_angle + EPS)
+        if hit.any():
+            a, b = self.coefficients(ctype)
+            k, j = np.nonzero(hit)
+            out[k, j] = active_backend().power_fill(a[j], b[j], dists[rows[k], j])
+        return out
+
     def power_matrix(self, strategies: Sequence[Strategy]) -> np.ndarray:
         """Exact power matrix ``P[i, j]`` = power of strategy *i* to device *j*.
 
-        Strategies sharing a type and a position (e.g. the orientations
-        GPAD or RPAD try at one point) share one :meth:`coverable_many` row,
-        so every distinct position gets one line-of-sight pass; only the
-        charger-cone test is per strategy.
+        Strategies are grouped by type and position: each group's distinct
+        positions get one :meth:`coverable_many` pass, and
+        :meth:`powers_at` applies each strategy's charger-cone test.
         """
         out = np.zeros((len(strategies), self.num_devices))
         groups: dict[ChargerType, tuple[dict[tuple[float, float], int], list[int], list[int]]] = {}
@@ -205,15 +231,9 @@ class PowerEvaluator:
             members.append(i)
             row_of.append(rows.setdefault(key, len(rows)))
         for ct, (rows, members, row_of) in groups.items():
-            mask, dists, bearings = self.coverable_many(ct, np.array(list(rows), dtype=float))
-            r = np.array(row_of)
+            coverable = self.coverable_many(ct, np.array(list(rows), dtype=float))
             theta = np.array([strategies[i].orientation for i in members], dtype=float)
-            diff = np.abs(np.mod(bearings[r] - theta[:, None] + math.pi, TWO_PI) - math.pi)
-            hit = mask[r] & (diff <= ct.half_angle + EPS)
-            if hit.any():
-                a, b = self.coefficients(ct)
-                k, j = np.nonzero(hit)
-                out[np.array(members)[k], j] = active_backend().power_fill(a[j], b[j], dists[r[k], j])
+            out[members] = self.powers_at(ct, coverable, np.array(row_of), theta)
         return out
 
     def total_power(self, strategies: Sequence[Strategy]) -> np.ndarray:

@@ -557,9 +557,11 @@ class _Handler(BaseHTTPRequestHandler):
         if cached:
             self._send_json(200, job.to_dict())
         else:
+            # The job was queued when submit returned; a pool thread may
+            # have taken it since, so its live state would race the reply.
             self._send_json(
                 202,
-                {"id": job.id, "state": job.state, "location": f"/v1/jobs/{job.id}"},
+                {"id": job.id, "state": JobState.QUEUED, "location": f"/v1/jobs/{job.id}"},
                 {"Location": f"/v1/jobs/{job.id}"},
             )
 

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from repro.baselines import free_grid_points, greedy_select
+from repro.baselines import free_grid_points, select_to_budget
+from repro.core import CandidateSet
 from repro.geometry import rectangle
 from repro.model import Strategy
 
@@ -15,40 +16,51 @@ def scenario(budget=2):
     return simple_scenario([(5.0, 10.0), (15.0, 10.0)], budget=budget)
 
 
-def test_greedy_select_prefers_covering_strategies():
+def pool(sc, strategies):
+    """*strategies* as a one-type candidate set with exact power rows."""
+    powers = sc.evaluator().power_matrix(strategies)
+    return CandidateSet(
+        powers,
+        powers,
+        [0] * len(strategies),
+        [sc.budgets["ct"]],
+        np.array([s.position for s in strategies], dtype=float).reshape(-1, 2),
+        np.array([s.orientation for s in strategies], dtype=float),
+        sc.charger_types,
+    )
+
+
+def test_select_to_budget_prefers_covering_strategies():
     sc = scenario(budget=1)
     ct = sc.charger_types[0]
     good = Strategy((8.0, 10.0), math.pi, ct)  # points at device 0
     useless = Strategy((10.0, 2.0), 3.0, ct)  # points at nothing
-    chosen = greedy_select(sc, {"ct": [useless, good]})
+    chosen = select_to_budget(sc, pool(sc, [useless, good]))
     assert len(chosen) == 1
     assert chosen[0] == good
 
 
-def test_greedy_select_pads_to_budget_with_zero_gain_pool():
+def test_select_to_budget_pads_with_zero_gain_pool():
     """Budgets are always spent even when extra candidates add nothing."""
     sc = scenario(budget=3)
     ct = sc.charger_types[0]
     good = Strategy((8.0, 10.0), math.pi, ct)
     dud1 = Strategy((10.0, 2.0), 3.0, ct)
     dud2 = Strategy((2.0, 2.0), 3.0, ct)
-    chosen = greedy_select(sc, {"ct": [good, dud1, dud2]})
-    assert len(chosen) == 3
-    assert good in chosen
+    chosen = select_to_budget(sc, pool(sc, [good, dud1, dud2]))
+    assert chosen == [good, dud1, dud2]  # greedy's pick first, then row order
 
 
-def test_greedy_select_smaller_pool_than_budget():
+def test_select_to_budget_smaller_pool_than_budget():
     sc = scenario(budget=5)
     ct = sc.charger_types[0]
-    pool = [Strategy((8.0, 10.0), math.pi, ct)]
-    chosen = greedy_select(sc, {"ct": pool})
+    chosen = select_to_budget(sc, pool(sc, [Strategy((8.0, 10.0), math.pi, ct)]))
     assert len(chosen) == 1  # cannot invent chargers
 
 
-def test_greedy_select_empty_pool():
+def test_select_to_budget_empty_pool():
     sc = scenario()
-    assert greedy_select(sc, {"ct": []}) == []
-    assert greedy_select(sc, {}) == []
+    assert select_to_budget(sc, pool(sc, [])) == []
 
 
 def test_free_grid_points_filters():

@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import active_backend
-from repro.core import extract_pdcs_at_point, extract_pdcs_many, strategies_at_point
 from repro.core.pdcs import ANG_TOL, sweep_orientations
 from repro.geometry import EPS, TWO_PI
 from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Strategy, pair_power
@@ -21,6 +20,14 @@ def evaluator(device_positions, *, angle=math.pi / 2, dmin=1.0, dmax=6.0, obstac
     devices = [Device(tuple(p), 0.0, DT, 0.1) for p in device_positions]
     table = make_table([ct], [DT])
     return PowerEvaluator(devices, list(obstacles), table, [ct]), ct
+
+
+def pdcs_at(ev, ct, position):
+    """Algorithm 1 at one position: ``(orientation, covered)`` per PDCS,
+    in sweep order, covered devices ascending."""
+    mask, _, bearings = ev.coverable(ct, position)
+    _, thetas, covered = sweep_orientations(ct, mask, bearings)
+    return [(t, tuple(np.flatnonzero(c).tolist())) for t, c in zip(thetas.tolist(), covered)]
 
 
 def covered_set(ev, ct, strategy):
@@ -75,38 +82,38 @@ def test_filter_dominated_sets():
 
 def test_no_coverable_devices():
     ev, ct = evaluator([(20.0, 20.0)])
-    assert extract_pdcs_at_point(ev, ct, (0.0, 0.0)) == []
+    assert pdcs_at(ev, ct, (0.0, 0.0)) == []
 
 
 def test_single_device_single_pdcs():
     ev, ct = evaluator([(3.0, 0.0)])
-    out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
+    out = pdcs_at(ev, ct, (0.0, 0.0))
     assert len(out) == 1
-    assert out[0].covered == (0,)
+    assert out[0][1] == (0,)
     # The witness orientation actually covers the device.
-    s = Strategy((0.0, 0.0), out[0].orientation, ct)
+    s = Strategy((0.0, 0.0), out[0][0], ct)
     assert ev.power_vector(s)[0] > 0.0
 
 
 def test_opposite_devices_narrow_cone_two_pdcs():
     ev, ct = evaluator([(3.0, 0.0), (-3.0, 0.0)], angle=math.pi / 2)
-    out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
-    sets = {ps.covered for ps in out}
+    out = pdcs_at(ev, ct, (0.0, 0.0))
+    sets = {covered for _, covered in out}
     assert sets == {(0,), (1,)}
 
 
 def test_close_devices_single_covering_pdcs():
     ev, ct = evaluator([(3.0, 0.5), (3.0, -0.5)], angle=math.pi / 2)
-    out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
+    out = pdcs_at(ev, ct, (0.0, 0.0))
     assert len(out) == 1
-    assert out[0].covered == (0, 1)
+    assert out[0][1] == (0, 1)
 
 
 def test_omnidirectional_charger_single_strategy():
     ev, ct = evaluator([(3.0, 0.0), (-3.0, 0.0), (0.0, 3.0)], angle=2.0 * math.pi)
-    out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
+    out = pdcs_at(ev, ct, (0.0, 0.0))
     assert len(out) == 1
-    assert out[0].covered == (0, 1, 2)
+    assert out[0][1] == (0, 1, 2)
 
 
 def test_extracted_sets_are_mutually_nondominated():
@@ -114,8 +121,8 @@ def test_extracted_sets_are_mutually_nondominated():
     for _ in range(20):
         pts = rng.uniform(-6, 6, size=(6, 2))
         ev, ct = evaluator(pts, angle=math.pi / 3)
-        out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
-        sets = [frozenset(ps.covered) for ps in out]
+        out = pdcs_at(ev, ct, (0.0, 0.0))
+        sets = [frozenset(covered) for _, covered in out]
         for i, a in enumerate(sets):
             for k, b in enumerate(sets):
                 assert not (i != k and a < b), "dominated set survived the filter"
@@ -126,9 +133,9 @@ def test_witness_orientation_covers_reported_set_exactly():
     for _ in range(20):
         pts = rng.uniform(-6, 6, size=(5, 2))
         ev, ct = evaluator(pts, angle=math.pi / 3)
-        for ps in extract_pdcs_at_point(ev, ct, (0.0, 0.0)):
-            s = Strategy((0.0, 0.0), ps.orientation, ct)
-            assert covered_set(ev, ct, s) == frozenset(ps.covered)
+        for theta, covered in pdcs_at(ev, ct, (0.0, 0.0)):
+            s = Strategy((0.0, 0.0), theta, ct)
+            assert covered_set(ev, ct, s) == frozenset(covered)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +146,7 @@ def test_algorithm1_dominates_every_orientation(seed, angle):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-6, 6, size=(5, 2))
     ev, ct = evaluator(pts, angle=angle)
-    extracted = [frozenset(ps.covered) for ps in extract_pdcs_at_point(ev, ct, (0.0, 0.0))]
+    extracted = [frozenset(covered) for _, covered in pdcs_at(ev, ct, (0.0, 0.0))]
     for theta in rng.uniform(0, 2 * math.pi, size=12):
         s = Strategy((0.0, 0.0), float(theta), ct)
         cov = covered_set(ev, ct, s)
@@ -153,17 +160,9 @@ def test_obstacle_excludes_devices_from_sweep():
 
     obs = [rectangle(1.0, -0.5, 2.0, 0.5)]
     ev, ct = evaluator([(3.0, 0.0), (0.0, 3.0)], obstacles=obs)
-    out = extract_pdcs_at_point(ev, ct, (0.0, 0.0))
-    covered = set().union(*[set(ps.covered) for ps in out])
+    out = pdcs_at(ev, ct, (0.0, 0.0))
+    covered = set().union(*[set(c) for _, c in out])
     assert covered == {1}  # device 0 is shadowed
-
-
-def test_strategies_at_point_wrapper():
-    ev, ct = evaluator([(3.0, 0.0)])
-    strats = strategies_at_point(ev, ct, (0.0, 0.0))
-    assert len(strats) == 1
-    assert strats[0].ctype is ct
-    assert strats[0].position == (0.0, 0.0)
 
 
 # Bearings on a coarse lattice, so that ties and repeated bearings (devices
@@ -199,8 +198,15 @@ def test_batched_sweep_matches_scalar_oracle(rows, angle, data):
     assert got == [scalar_sweep(ct, mask[r], bearings[r]) for r in range(len(rows))]
 
 
-def test_extract_pdcs_many_rows_match_single_points():
+def test_batched_sweep_rows_match_single_points():
+    """The sweep over one coverability batch of many positions equals the
+    one-row sweep at each position."""
     rng = np.random.default_rng(4)
     ev, ct = evaluator(rng.uniform(-6, 6, size=(8, 2)), angle=math.pi / 3)
     points = rng.uniform(-6, 6, size=(25, 2))
-    assert extract_pdcs_many(ev, ct, points) == [extract_pdcs_at_point(ev, ct, p) for p in points]
+    mask, _, bearings = ev.coverable_many(ct, points)
+    rows, thetas, covered = sweep_orientations(ct, mask, bearings)
+    got = [[] for _ in points]
+    for r, theta, cov in zip(rows.tolist(), thetas.tolist(), covered):
+        got[r].append((theta, tuple(np.flatnonzero(cov).tolist())))
+    assert got == [pdcs_at(ev, ct, p) for p in points]

@@ -97,6 +97,32 @@ def test_http_round_trip_matches_direct_solve(scenario_data):
         stop(server, service)
 
 
+def test_202_reply_says_queued_after_a_worker_took_the_job(scenario_data):
+    """The 202 reply carries the state the job was enqueued in, even when a
+    pool thread has taken the job before the reply is built."""
+    service = SolveService(pool_size=1, queue_size=8).start()
+    submit = service.submit
+    states_at_reply = []
+
+    def submit_then_wait_for_pickup(body):
+        job, cached = submit(body)
+        deadline = time.monotonic() + 10.0
+        while job.state == "queued" and time.monotonic() < deadline:
+            time.sleep(0.005)
+        states_at_reply.append(job.state)
+        return job, cached
+
+    service.submit = submit_then_wait_for_pickup
+    server, client = start_server(service)
+    try:
+        status, resp = client.post_solve({"scenario": scenario_data})
+        assert states_at_reply and states_at_reply[0] != "queued"
+        assert status == 202 and resp["state"] == "queued"
+        assert client.poll(resp["id"])["state"] == "done"
+    finally:
+        stop(server, service)
+
+
 def test_cache_hit_identical_payload_no_solve_span(scenario_data):
     service = SolveService(pool_size=1, queue_size=8).start()
     server, client = start_server(service)

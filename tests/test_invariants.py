@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import extract_pdcs_at_point
+from repro.core.pdcs import sweep_orientations
 from repro.geometry import Polygon, line_of_sight, rotate
 from repro.model import ChargerType, Device, DeviceType, PowerEvaluator, Strategy, pair_power
 
@@ -22,6 +22,13 @@ CT = ChargerType("ct", math.pi / 2.0, 1.0, 6.0)
 DT = DeviceType("dt", 2.0 * math.pi / 3.0)
 TABLE = make_table([CT], [DT], a=100.0, b=5.0)
 OBSTACLE = Polygon([(2.0, 1.0), (3.5, 1.5), (3.0, 3.0), (2.0, 2.5)])
+
+
+def pdcs_sets(ev, position):
+    """The covered sets of the Algorithm-1 PDCSs at *position*."""
+    mask, _, bearings = ev.coverable(CT, position)
+    _, _, covered = sweep_orientations(CT, mask, bearings)
+    return {tuple(np.flatnonzero(c).tolist()) for c in covered}
 
 
 def transformed_scene(dx, dy, theta, charger, devices, obstacle):
@@ -102,7 +109,7 @@ def test_pdcs_structure_rigid_invariance(dx, dy, theta, seed):
     if np.any(np.abs(dists - CT.dmin) < 1e-3) or np.any(np.abs(dists - CT.dmax) < 1e-3):
         return
     ev0 = PowerEvaluator(devices, [], TABLE, [CT])
-    sets0 = {ps.covered for ps in extract_pdcs_at_point(ev0, CT, (0.0, 0.0))}
+    sets0 = pdcs_sets(ev0, (0.0, 0.0))
 
     def tp(p):
         r = rotate(p, theta)
@@ -110,7 +117,7 @@ def test_pdcs_structure_rigid_invariance(dx, dy, theta, seed):
 
     moved = [Device(tp(d.position), d.orientation + theta, DT, 0.1) for d in devices]
     ev1 = PowerEvaluator(moved, [], TABLE, [CT])
-    sets1 = {ps.covered for ps in extract_pdcs_at_point(ev1, CT, tp((0.0, 0.0)))}
+    sets1 = pdcs_sets(ev1, tp((0.0, 0.0)))
     assert sets0 == sets1
 
 

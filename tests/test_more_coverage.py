@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from conftest import simple_scenario
 
@@ -62,14 +61,6 @@ def test_continuous_greedy_rounding_repair(rng):
     res = continuous_greedy(f, m, rng, steps=40, samples=4, rounding_trials=8)
     assert len(res.indices) <= 2
     assert m.is_independent(res.indices)
-
-
-def test_point_strategy_frozen():
-    from repro.core import PointStrategy
-
-    ps = PointStrategy(1.0, (0, 2))
-    with pytest.raises(Exception):
-        ps.orientation = 2.0  # type: ignore[misc]
 
 
 def test_schedule_tasks_of():
