@@ -61,12 +61,14 @@ python -m pytest -x -q
 # bit, the two kernel sets each other (the masked line-of-sight path
 # included), the boundary families the scalar coverability conditions,
 # positions and candidate sets their recorded digests, and the batched
-# position pass the per-task one on the scene corpus: re-run these
+# position pass the per-task one on the scene corpus, and every hostile
+# solve request must end as a 400, a 429 or a queued job: re-run these
 # modules under the Hypothesis "ci" profile (more examples; see
 # tests/conftest.py).  Tier-1 above keeps the default example counts.
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
     tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
-    tests/core/test_extraction_digest.py tests/core/test_position_batches.py -x -q
+    tests/core/test_extraction_digest.py tests/core/test_position_batches.py \
+    tests/serve/test_submit_fuzz.py -x -q
 
 # These examples call the solver, extraction and candidate-set API
 # (`solve_hipo`, `build_candidate_set`, `parallel_positions_by_type`,

@@ -25,11 +25,9 @@ from .placement import (
 )
 from .reuse import (
     CandidateSetCache,
-    active_candidate_cache,
     deserialize_candidate_set,
     extraction_cache_key,
     serialize_candidate_set,
-    use_candidate_cache,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "PairApproximation",
     "SolveCancelled",
     "TaskMeasurement",
-    "active_candidate_cache",
     "assign_tasks",
     "build_candidate_set",
     "candidate_keys",
@@ -63,5 +60,4 @@ __all__ = [
     "solve_hipo",
     "solve_hipo_hardened",
     "sweep_position_batch",
-    "use_candidate_cache",
 ]

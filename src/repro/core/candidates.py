@@ -128,20 +128,14 @@ class CandidateGenerator:
     eps:
         The end-to-end approximation parameter ``ε`` (Theorem 4.2); the level
         construction uses ``ε1 = 2ε/(1−2ε)``.
-    max_positions:
-        Optional cap per charger type; when exceeded, a deterministic
-        stratified subsample is kept (every ``ceil(n/cap)``-th point of the
-        deduplicated set).  The paper's guarantee assumes no cap; the cap is
-        an engineering guard for very dense scenes.
     """
 
-    def __init__(self, scenario: Scenario, *, eps: float = 0.15, max_positions: int | None = None):
+    def __init__(self, scenario: Scenario, *, eps: float = 0.15):
         self.scenario = scenario
         self.eps = eps
         self.eps1 = epsilon1_for(eps)
         self.evaluator = scenario.evaluator()
         self.approx = ApproxPowerCalculator(self.evaluator, scenario.charger_types, self.eps1)
-        self.max_positions = max_positions
         self._device_curves: dict[tuple[str, int], BoundaryCurves] = {}
         self._tables: dict[str, _CurveTable] = {}
         self._obstacles = PolygonSet(scenario.obstacles)
@@ -447,21 +441,12 @@ class CandidateGenerator:
 
     def gather(self, chunks: list[np.ndarray]) -> np.ndarray:
         """Merge per-task candidate chunks (in device order) into one
-        deduplicated position set, then apply the ``max_positions``
-        stratified subsample.
-
-        The pooled extraction path gathers worker results through this same
-        step, so it applies *exactly* the serial cap — per-worker
-        subsampling would not commute with the global one.
-        """
+        deduplicated position set; the pooled extraction path gathers worker
+        results through this same step."""
         chunks = [c for c in chunks if len(c)]
         if not chunks:
             return np.zeros((0, 2))
-        pts = dedupe_points(np.vstack(chunks))
-        if self.max_positions is not None and len(pts) > self.max_positions:
-            step = int(math.ceil(len(pts) / self.max_positions))
-            return pts[::step]
-        return pts
+        return dedupe_points(np.vstack(chunks))
 
     # -- helpers ---------------------------------------------------------------
 

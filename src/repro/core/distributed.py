@@ -190,11 +190,11 @@ def simulate_distributed_times(
 _WORKER_GEN: CandidateGenerator | None = None
 
 
-def _pool_init(scenario: Scenario, eps: float, max_positions: int | None, backend: str) -> None:
+def _pool_init(scenario: Scenario, eps: float, backend: str) -> None:
     global _WORKER_GEN
     # Workers run the parent's kernel set for the life of the process.
     ACTIVE_BACKEND.set(BACKENDS[backend])
-    _WORKER_GEN = CandidateGenerator(scenario, eps=eps, max_positions=max_positions)
+    _WORKER_GEN = CandidateGenerator(scenario, eps=eps)
 
 
 def _on_worker(task: Callable[[CandidateGenerator, Any], Any], arg: Any) -> Any:
@@ -202,17 +202,15 @@ def _on_worker(task: Callable[[CandidateGenerator, Any], Any], arg: Any) -> Any:
 
 
 def extraction_pool(gen: CandidateGenerator, workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers each rebuild *gen* — its scenario, ``eps``
-    and ``max_positions``, shipped once per worker by the pool initializer —
-    for :func:`run_tasks`.  The ``max_positions`` cap itself is applied by
-    the parent when gathering.  Generator *subclasses* cannot be rebuilt in
-    workers and must not be pooled.  Workers run the caller's
+    """A process pool whose workers each rebuild *gen* from its scenario and
+    ``eps``, shipped once per worker by the pool initializer, for
+    :func:`run_tasks`.  Workers run the caller's
     :func:`~repro.backend.active_backend`, whose name the initializer gets.
     """
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_pool_init,
-        initargs=(gen.scenario, gen.eps, gen.max_positions, active_backend().name),
+        initargs=(gen.scenario, gen.eps, active_backend().name),
     )
 
 

@@ -42,7 +42,7 @@ from ..opt.submodular import (
 from .candidates import CandidateGenerator
 from .distributed import check_cancel, extraction_pool, positions_from_tasks, run_tasks
 from .pdcs import sweep_position_batch
-from .reuse import CandidateSetCache, active_candidate_cache, extraction_cache_key
+from .reuse import CandidateSetCache, extraction_cache_key
 
 __all__ = [
     "CandidateSet",
@@ -99,8 +99,6 @@ class HIPOSolution:
     approx_utility: float  # objective under P̃ (what the greedy maximized)
     candidate_set: CandidateSet | None
     greedy: GreedyResult | None
-    extraction_seconds: float = 0.0
-    selection_seconds: float = 0.0
     trace: Tracer | None = None
     metrics: MetricsSnapshot | None = None
 
@@ -147,7 +145,6 @@ def build_candidate_set(
     scenario: Scenario,
     *,
     eps: float = 0.15,
-    generator: CandidateGenerator | None = None,
     positions_by_type: dict[str, np.ndarray] | None = None,
     workers: int | None = None,
     tracer: Tracer | None = None,
@@ -174,11 +171,8 @@ def build_candidate_set(
     positions of one charger type each — whose results one loop consumes
     in order, one at a time (:func:`~repro.core.distributed.run_tasks`).
     ``workers > 1`` only swaps the runner for an :func:`extraction_pool`,
-    which also runs the Algorithm-4 per-device position tasks.  The pool
-    ships the generator's ``eps`` and ``max_positions``; a *subclassed*
-    generator cannot be rebuilt in workers, so it always runs in-process.
-    In-process and pooled runs produce identical candidate sets in
-    identical order.
+    which also runs the Algorithm-4 per-device position tasks.  In-process
+    and pooled runs produce identical candidate sets in identical order.
 
     A chunk's candidates arrive deduplicated among themselves; one whose
     type and :func:`~repro.core.pdcs.candidate_keys` row an earlier chunk
@@ -191,7 +185,7 @@ def build_candidate_set(
     """
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
-    gen = generator if generator is not None else CandidateGenerator(scenario, eps=eps)
+    gen = CandidateGenerator(scenario, eps=eps)
     kept: list[tuple[np.ndarray, ...]] = []  # per chunk: positions, orientations, approx, exact
     part_of: list[int] = []
     seen: set[bytes] = set()  # type-prefixed key rows of the kept candidates
@@ -203,7 +197,7 @@ def build_candidate_set(
     dedupe_s = 0.0  # wall-clock in the cross-chunk dedupe
 
     active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
-    pooled = nworkers > 1 and type(gen) is CandidateGenerator and bool(active)
+    pooled = nworkers > 1 and bool(active)
     with trace.span(
         "extraction", workers=nworkers, backend=active_backend().name
     ) as ext_sp, (
@@ -334,7 +328,6 @@ def solve_hipo(
     algorithm3_order: bool = False,
     refine: bool = False,
     objective_power: Literal["approx", "exact"] = "approx",
-    generator: CandidateGenerator | None = None,
     positions_by_type: dict[str, np.ndarray] | None = None,
     keep_candidates: bool = False,
     workers: int | None = None,
@@ -358,13 +351,11 @@ def solve_hipo(
     (:class:`~repro.core.distributed.SolveCancelled` on fire) — the
     mechanism behind ``repro.serve`` job timeouts and cancellation.
 
-    *candidate_cache* (or, when omitted, the ambient cache installed by
-    :func:`~repro.core.reuse.use_candidate_cache`) warm-starts the solve:
-    when the extraction-relevant slice of *scenario* (geometry, hardware
-    tables, active types, ``eps`` — see
-    :func:`repro.io.canonical_extraction_hash`) hits the cache, the whole
-    extraction phase is skipped and only the millisecond greedy selection
-    runs.  Results are byte-identical to a cold solve (tested); the
+    *candidate_cache* warm-starts the solve: when the extraction-relevant
+    slice of *scenario* (geometry, hardware tables, active types, ``eps`` —
+    see :func:`repro.io.canonical_extraction_hash`) hits the cache, the
+    whole extraction phase is skipped and only the millisecond greedy
+    selection runs.  Results are byte-identical to a cold solve (tested); the
     ``extraction`` span then carries ``cached=True`` and cache traffic
     lands on the cache's ``cache.candidates.*`` counters.  The cache is
     bypassed when *positions_by_type* overrides extraction.
@@ -387,13 +378,11 @@ def solve_hipo(
         workers=max(1, int(workers or 1)),
         backend=backend,
     ) as root_sp:
-        t0 = time.perf_counter()
-        cache = candidate_cache if candidate_cache is not None else active_candidate_cache()
         cache_key: str | None = None
         candidates = None
-        if cache is not None and positions_by_type is None:
-            cache_key = extraction_cache_key(scenario, eps=eps, generator=generator)
-            candidates = cache.get(cache_key, scenario)
+        if candidate_cache is not None and positions_by_type is None:
+            cache_key = extraction_cache_key(scenario, eps=eps)
+            candidates = candidate_cache.get(cache_key, scenario)
         if candidates is not None:
             with trace.span(
                 "extraction", workers=max(1, int(workers or 1)), cached=True, backend=backend
@@ -406,16 +395,14 @@ def solve_hipo(
             candidates = build_candidate_set(
                 scenario,
                 eps=eps,
-                generator=generator,
                 positions_by_type=positions_by_type,
                 workers=workers,
                 tracer=trace,
                 metrics=mreg,
                 cancel=cancel,
             )
-            if cache is not None and cache_key is not None:
-                cache.put(cache_key, candidates)
-        t1 = time.perf_counter()
+            if candidate_cache is not None and cache_key is not None:
+                candidate_cache.put(cache_key, candidates)
         check_cancel(cancel)
         with trace.span("selection", candidates=candidates.num_candidates, lazy=lazy) as sel_sp:
             strategies, greedy = select_strategies(
@@ -428,7 +415,6 @@ def solve_hipo(
                 metrics=mreg,
             )
             sel_sp.set(selected=len(strategies), evaluations=greedy.evaluations)
-        t2 = time.perf_counter()
         ev = scenario.evaluator()
         if greedy.indices:
             exact_total = candidates.exact_power[greedy.indices].sum(axis=0)
@@ -445,8 +431,6 @@ def solve_hipo(
         approx_utility=total_utility(approx_total, ev.thresholds),
         candidate_set=candidates if keep_candidates else None,
         greedy=greedy,
-        extraction_seconds=t1 - t0,
-        selection_seconds=t2 - t1,
         trace=trace,
         metrics=mreg.snapshot(),
     )
@@ -496,8 +480,6 @@ def solve_hipo_hardened(
         approx_utility=inner.approx_utility,
         candidate_set=inner.candidate_set,
         greedy=inner.greedy,
-        extraction_seconds=inner.extraction_seconds,
-        selection_seconds=inner.selection_seconds,
         trace=inner.trace,
         metrics=inner.metrics,
     )

@@ -14,11 +14,9 @@ workloads pay the expensive phase once:
 * :class:`CandidateSetCache` — a thread-safe, bytes-bounded LRU
   (:class:`~repro.lru.BytesLRU`) over the serialized blobs, keyed by
   :func:`repro.io.canonical_extraction_hash` (via
-  :func:`extraction_cache_key`), with optional on-disk persistence.
-* :func:`use_candidate_cache` — an ambient (context-local) default cache
-  that :func:`~repro.core.placement.solve_hipo` consults when no explicit
-  ``candidate_cache`` is passed, so sweep engines can warm-start every
-  solve in a block without threading the cache through each call site.
+  :func:`extraction_cache_key`), with optional on-disk persistence;
+  :func:`~repro.core.placement.solve_hipo` warm-starts from the one passed
+  as its ``candidate_cache``.
 
 On a hit the deserialized set is *re-bound* to the requesting scenario:
 its charger types are the scenario's own :class:`~repro.model.ChargerType`
@@ -32,11 +30,9 @@ byte-identical to cold ones (tested).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-from contextvars import ContextVar
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,7 +41,6 @@ from ..lru import BytesLRU
 from ..model.network import Scenario
 from ..model.types import ChargerType
 from ..obs import MetricsRegistry
-from .candidates import CandidateGenerator
 
 if TYPE_CHECKING:
     from .placement import CandidateSet
@@ -53,11 +48,9 @@ if TYPE_CHECKING:
 __all__ = [
     "CANDIDATE_BLOB_MAGIC",
     "CandidateSetCache",
-    "active_candidate_cache",
     "deserialize_candidate_set",
     "extraction_cache_key",
     "serialize_candidate_set",
-    "use_candidate_cache",
 ]
 
 #: Leading bytes of every serialized candidate set (format version 1).
@@ -74,20 +67,10 @@ _ARRAY_FIELDS: tuple[tuple[str, str], ...] = (
 )
 
 
-def extraction_cache_key(
-    scenario: Scenario,
-    *,
-    eps: float = 0.15,
-    generator: CandidateGenerator | None = None,
-) -> str:
-    """The content-address under which this scenario's extraction is cached.
-
-    Wraps :func:`repro.io.canonical_extraction_hash`, folding in the
-    extraction-affecting generator parameters: a custom generator's ``eps``
-    overrides the argument (matching :func:`build_candidate_set`), its
-    ``max_positions`` cap changes the candidate set, and a *subclassed*
-    generator keys on its qualified class name so exotic extractors never
-    collide with the stock one.
+def extraction_cache_key(scenario: Scenario, *, eps: float = 0.15) -> str:
+    """The content-address under which this scenario's extraction is cached:
+    :func:`repro.io.canonical_extraction_hash` of *scenario* and *eps*, the
+    whole input of the extraction (Theorem 4.2).
 
     The kernel set (:mod:`repro.backend`) is deliberately *not* part of
     the key: the sets are bit-identical by contract (enforced by the
@@ -95,25 +78,16 @@ def extraction_cache_key(
     one is a valid warm-start for the other — folding the set in would
     only fragment the cache.
 
-    The key is memoized on the scenario instance, per ``eps``, generator
-    parameters and set of active charger types (the one input a caller
-    can still change in place, through the ``budgets`` dict), so a
-    request that probes the cache and then solves canonicalizes once.
+    The key is memoized on the scenario instance, per ``eps`` and set of
+    active charger types (the one input a caller can still change in
+    place, through the ``budgets`` dict), so a request that probes the
+    cache and then solves canonicalizes once.
     """
-    params: dict[str, Any] = {"max_positions": None}
-    if generator is not None:
-        eps = generator.eps
-        params["max_positions"] = generator.max_positions
-        if type(generator) is not CandidateGenerator:
-            cls = type(generator)
-            params["generator"] = f"{cls.__module__}.{cls.__qualname__}"
     active = tuple(sorted(name for name, n in scenario.budgets.items() if int(n) > 0))
-    memo = (eps, tuple(sorted(params.items())), active)
+    memo = (eps, active)
     key = scenario._extraction_keys.get(memo)
     if key is None:
-        key = scenario._extraction_keys[memo] = canonical_extraction_hash(
-            scenario, eps=eps, params=params
-        )
+        key = scenario._extraction_keys[memo] = canonical_extraction_hash(scenario, eps=eps)
     return key
 
 
@@ -285,36 +259,3 @@ class CandidateSetCache(BytesLRU):
             return True
         self.metrics.inc(f"{self.prefix}.misses")
         return False
-
-
-#: Ambient default cache consulted by ``solve_hipo`` when no explicit
-#: ``candidate_cache`` is passed (context-local, so concurrent service
-#: threads and nested scopes stay independent).
-_ACTIVE_CACHE: ContextVar[CandidateSetCache | None] = ContextVar(
-    "repro_candidate_cache", default=None
-)
-
-
-def active_candidate_cache() -> CandidateSetCache | None:
-    """The ambient candidate cache of the current context, if any."""
-    return _ACTIVE_CACHE.get()
-
-
-@contextlib.contextmanager
-def use_candidate_cache(cache: CandidateSetCache) -> Iterator[CandidateSetCache]:
-    """Make *cache* the ambient candidate cache for the enclosed block.
-
-    Every :func:`~repro.core.placement.solve_hipo` call inside the block
-    (that does not pass its own ``candidate_cache``) warm-starts from it —
-    how the sweep engines share one extraction across many solves without
-    changing every call signature::
-
-        with use_candidate_cache(CandidateSetCache()) as cache:
-            for budgets in sweep:
-                solve_hipo(scenario.with_budgets(budgets))
-    """
-    token = _ACTIVE_CACHE.set(cache)
-    try:
-        yield cache
-    finally:
-        _ACTIVE_CACHE.reset(token)

@@ -26,8 +26,6 @@ from .scenarios import (
     default_charger_types,
     default_coefficients,
     default_device_types,
-    random_scenario,
-    small_scenario,
 )
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "random_star_obstacle",
     "clustered_devices",
     "cluttered_scenario",
-    "register_scenario_generator",
-    "scenario_generators",
 ]
 
 
@@ -54,24 +50,6 @@ def as_generator(rng: np.random.Generator | int) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return np.random.default_rng(int(rng))
     raise TypeError(f"expected np.random.Generator or int seed, got {type(rng).__name__}")
-
-
-#: Named scenario-producing callables ``(rng, **kwargs) -> Scenario``.  The
-#: variation layer (:mod:`repro.variation`) enumerates this registry; each
-#: entry must be a pure function of its explicit ``rng`` and kwargs.
-_SCENARIO_GENERATORS: dict[str, object] = {}
-
-
-def register_scenario_generator(name: str, fn) -> None:
-    """Register a named scenario generator (replacing any same-named one)."""
-    if not name:
-        raise ValueError("generator name must be non-empty")
-    _SCENARIO_GENERATORS[name] = fn
-
-
-def scenario_generators() -> dict[str, object]:
-    """Name → scenario generator callable for every registered generator."""
-    return dict(_SCENARIO_GENERATORS)
 
 
 def random_convex_obstacle(
@@ -201,11 +179,3 @@ def cluttered_scenario(
         budgets=default_budgets(charger_multiple),
         table=default_coefficients(),
     )
-
-
-# Built-in registry entries: the §6 uniform topology, the downsized test
-# instance, and the cluttered family above.  The richer parameterized
-# families live in repro.variation.families on top of these callables.
-register_scenario_generator("cluttered", cluttered_scenario)
-register_scenario_generator("uniform", random_scenario)
-register_scenario_generator("small", small_scenario)

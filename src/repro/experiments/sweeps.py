@@ -11,7 +11,6 @@ via ``REPRO_BENCH_REPEATS``.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from ..baselines.registry import ALGORITHMS
 from ..core.placement import HIPOSolution, solve_hipo
-from ..core.reuse import CandidateSetCache, use_candidate_cache
+from ..core.reuse import CandidateSetCache
 from ..model.network import Scenario
 from .reporting import SeriesTable
 
@@ -54,37 +53,21 @@ def bench_repeats(default: int = 3) -> int:
         return default
 
 
-#: Per-process ambient candidate cache for ``reuse_candidates`` sweeps.
-#: Process-global (not per-call) so pooled sweep workers reuse extractions
-#: across every cell they execute, exactly like the serial path does.
-_CELL_CACHE: CandidateSetCache | None = None
-
-
-def _cell_cache() -> CandidateSetCache:
-    global _CELL_CACHE
-    if _CELL_CACHE is None:
-        _CELL_CACHE = CandidateSetCache(max_entries=16, max_bytes=256 * 1024 * 1024)
-    return _CELL_CACHE
-
-
 def _run_cell(args) -> tuple[int, dict[str, float]]:
     """One (x, repeat) cell: build the topology, run every algorithm.
 
     Top-level so ProcessPoolExecutor can pickle it; *factory* must then be a
     module-level callable (the figure factories are).
     """
-    factory, x, seed, xi, r, algorithms, common_topologies, reuse_candidates = args
-    topo_key = (seed, r) if common_topologies else (seed, xi, r)
-    cell_seq = np.random.SeedSequence(topo_key)
+    factory, x, seed, xi, r, algorithms = args
+    cell_seq = np.random.SeedSequence((seed, xi, r))
     topo_rng = np.random.default_rng(cell_seq.spawn(1)[0])
     scenario = factory(x, topo_rng)
     out: dict[str, float] = {}
-    scope = use_candidate_cache(_cell_cache()) if reuse_candidates else contextlib.nullcontext()
-    with scope:
-        for ai, name in enumerate(algorithms):
-            algo_rng = np.random.default_rng(np.random.SeedSequence((seed, xi, r, ai)))
-            strategies = ALGORITHMS[name](scenario, algo_rng)
-            out[name] = scenario.utility_of(strategies)
+    for ai, name in enumerate(algorithms):
+        algo_rng = np.random.default_rng(np.random.SeedSequence((seed, xi, r, ai)))
+        strategies = ALGORITHMS[name](scenario, algo_rng)
+        out[name] = scenario.utility_of(strategies)
     return xi, out
 
 
@@ -97,8 +80,6 @@ def run_sweep(
     seed: int = 20180816,
     x_label: str = "x",
     workers: int | None = None,
-    common_topologies: bool = False,
-    reuse_candidates: bool = False,
 ) -> SeriesTable:
     """Average utility of each algorithm at each x over *repeats* topologies.
 
@@ -111,16 +92,6 @@ def run_sweep(
     from per-cell ``SeedSequence`` keys, not shared state), but the factory
     must be picklable (a module-level function; the built-in figure
     factories qualify, ad-hoc lambdas do not).
-
-    ``common_topologies=True`` seeds the topology per *repeat* instead of
-    per (x, repeat), so every x point of a repeat sees the **same** device
-    layout — the natural design when x only changes budgets or thresholds,
-    and the precondition for extraction reuse across x.
-    ``reuse_candidates=True`` additionally runs every cell under an ambient
-    :class:`~repro.core.reuse.CandidateSetCache` (per process), so HIPO
-    solves whose extraction slice repeats skip straight to selection.
-    Results are identical either way (warm starts are byte-identical);
-    only wall-clock changes.  Defaults reproduce the historical behaviour.
     """
     algorithms = tuple(algorithms)
     unknown = [a for a in algorithms if a not in ALGORITHMS]
@@ -129,7 +100,7 @@ def run_sweep(
     table = SeriesTable(x_label, list(xs))
     sums = {name: np.zeros(len(table.x)) for name in algorithms}
     cells = [
-        (scenario_factory, x, seed, xi, r, algorithms, common_topologies, reuse_candidates)
+        (scenario_factory, x, seed, xi, r, algorithms)
         for xi, x in enumerate(table.x)
         for r in range(repeats)
     ]
@@ -182,7 +153,6 @@ def run_family_sweep(
     repeats: int = 3,
     seed: int = 20180816,
     workers: int | None = None,
-    reuse_candidates: bool = False,
 ) -> SeriesTable:
     """:func:`run_sweep` with a variation family supplying the axis.
 
@@ -209,7 +179,6 @@ def run_family_sweep(
         seed=seed,
         x_label=f"{family}.{axis}",
         workers=workers,
-        reuse_candidates=reuse_candidates,
     )
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import sys
 from typing import Sequence
 
 from .geometry import Polygon
@@ -108,9 +110,7 @@ def canonical_scenario_hash(scenario: Scenario | dict, params: dict | None = Non
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def canonical_extraction_hash(
-    scenario: Scenario | dict, *, eps: float, params: dict | None = None
-) -> str:
+def canonical_extraction_hash(scenario: Scenario | dict, *, eps: float) -> str:
     """Content address of the *extraction-relevant* slice of a solve.
 
     Candidate extraction (positions + PDCS sweeps, Algorithms 1/4) is a pure
@@ -125,8 +125,7 @@ def canonical_extraction_hash(
 
     Those are therefore excluded, so a budget or threshold sweep over one
     topology maps every point to the same key — the contract behind the
-    candidate-reuse tier (:mod:`repro.core.reuse`).  *params* carries any
-    extra extraction-affecting knobs (e.g. a generator's ``max_positions``).
+    candidate-reuse tier (:mod:`repro.core.reuse`).
     """
     data = scenario_to_dict(scenario) if isinstance(scenario, Scenario) else dict(scenario)
     devices = [
@@ -149,7 +148,6 @@ def canonical_extraction_hash(
             "active_types": sorted(name for name, n in budgets.items() if int(n) > 0),
         },
         "eps": eps,
-        "params": params or {},
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -208,69 +206,118 @@ def _field(obj: dict, key: str, where: str):
         raise ValueError(f"{where}: missing required field {key!r}") from None
 
 
+#: Largest float magnitude; beyond it a number is not finite as a float.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value) -> bool:
+    """A finite real number within float range (so not NaN, an infinity or
+    an integer too large to convert), and not a bool."""
+    if type(value) is not float and type(value) is not int:  # JSON's own types first
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+    return abs(value) <= _FLOAT_MAX
+
+
+def _finite(value, where: str):
+    if not _is_number(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r:.40}")
+    return value
+
+
+def _typed(value, expected: type | tuple[type, ...], where: str, label: str):
+    if not isinstance(value, expected):
+        raise ValueError(f"{where}: expected {label}, got {value!r:.40}")
+    return value
+
+
+def _number(obj: dict, key: str, where: str):
+    return _finite(_field(obj, key, where), f"{where}.{key}")
+
+
+def _name(obj: dict, key: str, where: str) -> str:
+    return _typed(_field(obj, key, where), str, f"{where}.{key}", "a string")
+
+
+def _items(obj: dict, key: str, where: str) -> list:
+    return _typed(_field(obj, key, where), (list, tuple), f"{where}.{key}", "an array")
+
+
+def _point(value, where: str) -> tuple:
+    """``[x, y]`` of finite numbers, as a tuple."""
+    if not (
+        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+    ):
+        raise ValueError(f"{where}: expected [x, y] finite numbers, got {value!r:.40}")
+    return tuple(value)
+
+
 def scenario_from_dict(data: dict) -> tuple[Scenario, list[Strategy]]:
     """Rebuild a scenario (and any stored placement) from JSON data.
 
     Malformed input raises :class:`ValueError` naming the offending field
     (e.g. ``devices[2]: missing required field 'threshold'``) rather than a
-    bare ``KeyError``, so CLI and HTTP callers get an actionable message.
+    bare ``KeyError`` or ``TypeError``, so CLI and HTTP callers get an
+    actionable message.  Every number must be finite.
     """
     if not isinstance(data, dict):
         raise ValueError(f"scenario: expected a JSON object, got {type(data).__name__}")
     version = data.get("version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported scenario format version {version!r}")
+        raise ValueError(f"unsupported scenario format version {version!r:.40}")
     for key in ("bounds", "charger_types", "device_types", "coefficients", "budgets", "devices", "obstacles"):
         if key not in data:
             raise ValueError(f"scenario: missing required field {key!r}")
     ctypes = {}
-    for i, c in enumerate(data["charger_types"]):
+    for i, c in enumerate(_items(data, "charger_types", "scenario")):
         where = f"charger_types[{i}]"
-        ctypes[_field(c, "name", where)] = ChargerType(
-            c["name"],
-            _field(c, "charging_angle", where),
-            _field(c, "dmin", where),
-            _field(c, "dmax", where),
+        name = _name(c, "name", where)
+        ctypes[name] = ChargerType(
+            name,
+            _number(c, "charging_angle", where),
+            _number(c, "dmin", where),
+            _number(c, "dmax", where),
         )
     dtypes = {}
-    for i, d in enumerate(data["device_types"]):
+    for i, d in enumerate(_items(data, "device_types", "scenario")):
         where = f"device_types[{i}]"
-        dtypes[_field(d, "name", where)] = DeviceType(
-            d["name"], _field(d, "receiving_angle", where)
-        )
+        name = _name(d, "name", where)
+        dtypes[name] = DeviceType(name, _number(d, "receiving_angle", where))
     entries = {}
-    for i, c in enumerate(data["coefficients"]):
+    for i, c in enumerate(_items(data, "coefficients", "scenario")):
         where = f"coefficients[{i}]"
-        entries[(_field(c, "charger", where), _field(c, "device", where))] = PairCoefficients(
-            _field(c, "a", where), _field(c, "b", where)
+        entries[(_name(c, "charger", where), _name(c, "device", where))] = PairCoefficients(
+            _number(c, "a", where), _number(c, "b", where)
         )
     table = CoefficientTable(entries)
     devices = []
-    for i, d in enumerate(data["devices"]):
+    for i, d in enumerate(_items(data, "devices", "scenario")):
         where = f"devices[{i}]"
-        type_name = _field(d, "type", where)
+        type_name = _name(d, "type", where)
         if type_name not in dtypes:
             raise ValueError(f"{where}: unknown device type {type_name!r}")
         devices.append(
             Device(
-                tuple(_field(d, "position", where)),
-                _field(d, "orientation", where),
+                _point(_field(d, "position", where), f"{where}.position"),
+                _number(d, "orientation", where),
                 dtypes[type_name],
-                _field(d, "threshold", where),
+                _number(d, "threshold", where),
             )
         )
-    obstacles = tuple(Polygon(vs) for vs in data["obstacles"])
-    bounds = tuple(data["bounds"])
-    if len(bounds) != 4:
-        raise ValueError(f"bounds: expected [xmin, ymin, xmax, ymax], got {len(bounds)} values")
-    if not isinstance(data["budgets"], dict):
-        raise ValueError("budgets: expected an object mapping charger type -> count")
+    obstacles = []
+    for i, vs in enumerate(_items(data, "obstacles", "scenario")):
+        vertices = _typed(vs, (list, tuple), f"obstacles[{i}]", "an array of [x, y] vertices")
+        obstacles.append(Polygon([_point(v, f"obstacles[{i}][{j}]") for j, v in enumerate(vertices)]))
+    bounds = tuple(_items(data, "bounds", "scenario"))
+    if len(bounds) != 4 or not all(map(_is_number, bounds)):
+        raise ValueError(f"bounds: expected [xmin, ymin, xmax, ymax], got {list(bounds)!r:.40}")
+    budgets = _typed(data["budgets"], dict, "budgets", "an object mapping charger type -> count")
     scenario = Scenario(
         bounds=bounds,
         devices=tuple(devices),
-        obstacles=obstacles,
+        obstacles=tuple(obstacles),
         charger_types=tuple(ctypes.values()),
-        budgets={k: int(v) for k, v in data["budgets"].items()},
+        budgets={k: int(_finite(n, f"budgets.{k}")) for k, n in budgets.items()},
         table=table,
     )
     strategies = strategies_from_list(data.get("strategies", []), ctypes)
@@ -288,12 +335,13 @@ def strategies_to_list(strategies: Sequence[Strategy]) -> list[dict]:
 def strategies_from_list(items: Sequence[dict], ctypes: dict[str, ChargerType]) -> list[Strategy]:
     """Rebuild a placement against a charger-type catalogue."""
     out = []
-    for item in items:
-        try:
-            ct = ctypes[item["type"]]
-        except KeyError:
-            raise ValueError(f"strategy references unknown charger type {item['type']!r}") from None
-        out.append(Strategy(tuple(item["position"]), item["orientation"], ct))
+    for i, item in enumerate(_typed(items, (list, tuple), "strategies", "an array")):
+        where = f"strategies[{i}]"
+        name = _name(item, "type", where)
+        if name not in ctypes:
+            raise ValueError(f"strategy references unknown charger type {name!r}")
+        position = _point(_field(item, "position", where), f"{where}.position")
+        out.append(Strategy(position, _number(item, "orientation", where), ctypes[name]))
     return out
 
 

@@ -106,21 +106,9 @@ def tour_length(points: np.ndarray, tour: Sequence[int], *, closed: bool = True)
 def nearest_neighbor_tour(points: np.ndarray, *, start: int = 0) -> list[int]:
     """Greedy nearest-neighbour tour starting at index *start*."""
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n == 0:
+    if len(pts) == 0:
         return []
-    dist = _dist_matrix(pts)
-    unvisited = np.ones(n, dtype=bool)
-    tour = [start]
-    unvisited[start] = False
-    cur = start
-    for _ in range(n - 1):
-        row = np.where(unvisited, dist[cur], np.inf)
-        nxt = int(np.argmin(row))
-        tour.append(nxt)
-        unvisited[nxt] = False
-        cur = nxt
-    return tour
+    return nearest_neighbor_tour_matrix(_dist_matrix(pts), start=start)
 
 
 def two_opt(points: np.ndarray, tour: Sequence[int], *, max_rounds: int = 20) -> list[int]:
@@ -128,28 +116,10 @@ def two_opt(points: np.ndarray, tour: Sequence[int], *, max_rounds: int = 20) ->
 
     Never returns a longer tour than the input.
     """
-    pts = np.asarray(points, dtype=float)
     t = list(tour)
-    n = len(t)
-    if n < 4:
+    if len(t) < 4:
         return t
-    dist = _dist_matrix(pts)
-    for _ in range(max_rounds):
-        improved = False
-        for i in range(n - 1):
-            a, b = t[i], t[(i + 1) % n]
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue
-                c, d = t[j], t[(j + 1) % n]
-                delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
-                if delta < -1e-12:
-                    t[i + 1 : j + 1] = reversed(t[i + 1 : j + 1])
-                    improved = True
-                    a, b = t[i], t[(i + 1) % n]
-        if not improved:
-            break
-    return t
+    return two_opt_matrix(_dist_matrix(np.asarray(points, dtype=float)), t, max_rounds=max_rounds)
 
 
 def plan_tour(points: np.ndarray, *, start: int = 0) -> tuple[list[int], float]:

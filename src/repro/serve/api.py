@@ -64,13 +64,15 @@ has the full story):
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import threading
 import time
 import uuid
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, NoReturn
 
 from ..core import CandidateSetCache, solve_hipo
 from ..core.reuse import extraction_cache_key
@@ -212,10 +214,17 @@ class SolveService:
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise BadRequest(f"priority: expected an integer, got {priority!r}")
         timeout_s = body.get("timeout_s", self.default_timeout_s)
+        # The deadline timer waits on a lock, which takes no NaN, infinite
+        # or larger timeout; the chained comparison is False for NaN.
         if timeout_s is not None and (
-            not isinstance(timeout_s, (int, float)) or isinstance(timeout_s, bool) or timeout_s <= 0
+            not isinstance(timeout_s, (int, float))
+            or isinstance(timeout_s, bool)
+            or not 0 < timeout_s <= threading.TIMEOUT_MAX
         ):
-            raise BadRequest(f"timeout_s: expected a positive number, got {timeout_s!r}")
+            raise BadRequest(
+                f"timeout_s: expected a positive number up to {threading.TIMEOUT_MAX:g}, "
+                f"got {timeout_s!r}"
+            )
         use_cache = body.get("use_cache", True)
         if not isinstance(use_cache, bool):
             raise BadRequest(f"use_cache: expected a boolean, got {use_cache!r}")
@@ -239,9 +248,12 @@ class SolveService:
                     ],
                 )
 
-        key = canonical_scenario_hash(
-            scenario_data, {k: params[k] for k in _KEY_PARAMS if k in params}
-        )
+        try:
+            key = canonical_scenario_hash(
+                scenario_data, {k: params[k] for k in _KEY_PARAMS if k in params}
+            )
+        except ValueError as exc:  # a non-finite number or a non-string key
+            raise BadRequest(str(exc), code="invalid-scenario") from exc
         if use_cache:
             hit = self.cache.get(key)
             if hit is not None:
@@ -438,6 +450,21 @@ class SolveService:
         self.metrics.observe("serve.request_seconds", seconds)
 
 
+def _finite_float(text: str) -> float:
+    """``json.loads`` float hook: a literal such as ``1e999`` overflows to
+    infinity, which no scenario or timeout can hold."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _no_constant(name: str) -> NoReturn:
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``:
+    tokens Python accepts but JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs + paths onto the :class:`SolveService`."""
 
@@ -503,9 +530,10 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise BadRequest("empty request body; expected JSON", code="empty-body")
         try:
-            return json.loads(raw)
-        # ValueError covers JSONDecodeError, bad UTF-8 and integer literals
-        # past Python's digit limit; RecursionError deep nesting.
+            return json.loads(raw, parse_float=_finite_float, parse_constant=_no_constant)
+        # ValueError covers JSONDecodeError, bad UTF-8, integer literals
+        # past Python's digit limit and the non-finite numbers the hooks
+        # reject; RecursionError deep nesting.
         except (ValueError, RecursionError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}", code="invalid-json") from exc
 

@@ -79,7 +79,7 @@ def test_pool_init_installs_backend_unscoped(monkeypatch):
     seen = []
 
     def worker():
-        distributed._pool_init(scenario, 0.15, None, "pyloop")
+        distributed._pool_init(scenario, 0.15, "pyloop")
         seen.append(active_backend().name)
 
     t = threading.Thread(target=worker)

@@ -101,17 +101,6 @@ def test_pair_loci_cover_joint_coverage_positions():
     assert found
 
 
-def test_max_positions_cap():
-    sc = simple_scenario([(6.0, 10.0), (10.0, 10.0), (14.0, 10.0), (10.0, 6.0)])
-    gen_full = make_gen(sc)
-    full = gen_full.positions(sc.charger_types[0])
-    cap = max(4, len(full) // 3)
-    gen_capped = make_gen(sc, max_positions=cap)
-    capped = gen_capped.positions(sc.charger_types[0])
-    assert len(capped) <= cap + 1
-    assert len(capped) < len(full)
-
-
 def test_eps_validation():
     sc = simple_scenario([(10.0, 10.0)])
     with pytest.raises(ValueError):

@@ -3,22 +3,18 @@ and the headline guarantee — warm-started solves are byte-identical to
 cold ones."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core import (
     CandidateSetCache,
-    active_candidate_cache,
     build_candidate_set,
     deserialize_candidate_set,
     extraction_cache_key,
     serialize_candidate_set,
     solve_hipo,
-    use_candidate_cache,
 )
-from repro.core.candidates import CandidateGenerator
 from repro.core.reuse import CANDIDATE_BLOB_MAGIC
 from repro.io import strategies_to_list
 from repro.model import ChargerType, Strategy
@@ -177,22 +173,6 @@ def test_key_sensitive_to_geometry_eps_and_active_types():
     assert extraction_cache_key(sc.with_budgets({"ct": 0})) != key
 
 
-def test_key_folds_in_generator_parameters():
-    sc = scenario()
-    key = extraction_cache_key(sc)
-    assert extraction_cache_key(sc, generator=CandidateGenerator(sc, eps=0.15)) == key
-    assert extraction_cache_key(sc, generator=CandidateGenerator(sc, eps=0.3)) != key
-    assert (
-        extraction_cache_key(sc, generator=CandidateGenerator(sc, eps=0.15, max_positions=9))
-        != key
-    )
-
-    class Exotic(CandidateGenerator):
-        pass
-
-    assert extraction_cache_key(sc, generator=Exotic(sc, eps=0.15)) != key
-
-
 def test_key_is_memoized_per_scenario_instance(monkeypatch):
     import repro.core.reuse as reuse
     from repro.io import canonical_extraction_hash
@@ -208,7 +188,7 @@ def test_key_is_memoized_per_scenario_instance(monkeypatch):
     key = extraction_cache_key(sc)
     assert extraction_cache_key(sc) == key
     assert len(calls) == 1
-    assert key == canonical_extraction_hash(sc, eps=0.15, params={"max_positions": None})
+    assert key == canonical_extraction_hash(sc, eps=0.15)
     # Other eps, a copy of the scenario, or a budget edited in place that
     # deactivates a type: each is its own entry.
     assert extraction_cache_key(sc, eps=0.2) != key
@@ -281,36 +261,6 @@ def test_warm_start_marks_extraction_span_cached():
     span = warm.trace.find("extraction")
     assert span is not None and span.attrs.get("cached") is True
     assert warm.candidate_set.num_candidates > 0
-
-
-def test_ambient_cache_via_context_manager():
-    sc = scenario()
-    assert active_candidate_cache() is None
-    cache = CandidateSetCache()
-    with use_candidate_cache(cache) as active:
-        assert active_candidate_cache() is active is cache
-        solve_hipo(sc)
-        solve_hipo(sc)
-    assert active_candidate_cache() is None
-    stats = cache.stats()
-    assert stats["misses"] == 1 and stats["hits"] == 1
-    # Outside the block solve_hipo no longer consults it.
-    solve_hipo(sc)
-    assert cache.stats()["hits"] == 1
-    # A thread started inside the block does not see the ambient cache,
-    # and a body that raises still restores the prior value.
-    seen = []
-    outer = CandidateSetCache()
-    with use_candidate_cache(outer):
-        with pytest.raises(RuntimeError):
-            with use_candidate_cache(cache):
-                t = threading.Thread(target=lambda: seen.append(active_candidate_cache()))
-                t.start()
-                t.join()
-                raise RuntimeError("boom")
-        assert active_candidate_cache() is outer
-    assert seen == [None]
-    assert active_candidate_cache() is None
 
 
 def test_explicit_positions_bypass_cache():

@@ -114,19 +114,3 @@ def test_generators_accept_plain_int_seeds():
     s1 = cluttered_scenario(99, num_obstacles=2, clusters=2, per_cluster=2)
     s2 = cluttered_scenario(99, num_obstacles=2, clusters=2, per_cluster=2)
     assert [d.position for d in s1.devices] == [d.position for d in s2.devices]
-
-
-def test_scenario_generator_registry():
-    from repro.experiments.generators import (
-        register_scenario_generator,
-        scenario_generators,
-    )
-
-    registry = scenario_generators()
-    assert {"cluttered", "uniform", "small"} <= set(registry)
-    assert registry["cluttered"] is cluttered_scenario
-    # The accessor returns a copy: mutating it does not touch the registry.
-    registry["cluttered"] = None
-    assert scenario_generators()["cluttered"] is cluttered_scenario
-    with pytest.raises(ValueError):
-        register_scenario_generator("", cluttered_scenario)

@@ -75,14 +75,6 @@ def test_run_sweep_parallel_matches_serial():
     assert serial.series == parallel.series
 
 
-def test_run_sweep_reuse_candidates_identical():
-    """Warm-started sweeps return the exact same table as cold ones."""
-    kwargs = dict(algorithms=["HIPO", "RPAR"], repeats=2, seed=9)
-    cold = run_sweep([1, 2], tiny_factory, **kwargs)
-    warm = run_sweep([1, 2], tiny_factory, reuse_candidates=True, **kwargs)
-    assert cold.series == warm.series
-
-
 _seen_topologies = []
 
 
@@ -93,37 +85,23 @@ def _recording_factory(x, rng):
     return simple_scenario([tuple(p) for p in pts], budget=int(x))
 
 
-def test_run_sweep_common_topologies():
-    """Per-repeat topology seeding is deterministic, differs from the
-    per-cell default, and composes with candidate reuse unchanged."""
+def test_run_sweep_fresh_topology_per_cell():
+    """Each (x, repeat) cell seeds its own topology, the same on every run."""
     kwargs = dict(algorithms=["HIPO"], repeats=1, seed=11)
     _seen_topologies.clear()
-    run_sweep([1, 2], _recording_factory, **kwargs)
+    first = run_sweep([1, 2], _recording_factory, **kwargs)
     a, b = _seen_topologies
-    assert not np.array_equal(a, b)  # default: fresh topology per (x, repeat)
-
+    assert not np.array_equal(a, b)
     _seen_topologies.clear()
-    common = run_sweep([1, 2], _recording_factory, common_topologies=True, **kwargs)
-    a, b = _seen_topologies
-    assert np.array_equal(a, b)  # per-repeat seeding: every x, same layout
-    again = run_sweep([1, 2], _recording_factory, common_topologies=True, **kwargs)
-    assert common.series == again.series
-    reused = run_sweep(
-        [1, 2], _recording_factory, common_topologies=True, reuse_candidates=True, **kwargs
-    )
-    assert reused.series == common.series
+    assert run_sweep([1, 2], _recording_factory, **kwargs).series == first.series
+    assert all(np.array_equal(p, q) for p, q in zip(_seen_topologies, (a, b)))
 
 
-def test_run_sweep_reuse_candidates_pooled_matches_serial():
+def test_run_sweep_hipo_pooled_matches_serial():
+    """HIPO cells give the same table in a process pool as serially."""
     from repro.experiments.figures import _charger_multiple_factory
 
-    kwargs = dict(
-        algorithms=["HIPO"],
-        repeats=1,
-        seed=5,
-        common_topologies=True,
-        reuse_candidates=True,
-    )
+    kwargs = dict(algorithms=["HIPO"], repeats=1, seed=5)
     serial = run_sweep([1], _charger_multiple_factory, **kwargs)
     pooled = run_sweep([1], _charger_multiple_factory, workers=2, **kwargs)
     assert serial.series == pooled.series

@@ -7,8 +7,11 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.experiments import small_scenario
+from repro.io import scenario_to_dict
 from repro.serve import SolveService, create_server
 from repro.serve.api import _Handler
 
@@ -109,3 +112,30 @@ def test_hostile_json_body_is_400(server, body):
         assert json.loads(reply.read())["error"]["code"] == "invalid-json"
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["timeout_s", "threshold"])
+def test_non_finite_json_number_is_400(server, token, field):
+    """Python's parser takes ``NaN`` and ``Infinity`` and overflows ``1e999``
+    to infinity; none is a JSON number a solve can use.  A non-finite
+    ``timeout_s`` was queued (NaN ended it as cancelled at once, infinity
+    killed its deadline timer), and a non-finite device threshold passed
+    validation and failed the request hash as a 500."""
+    data = scenario_to_dict(small_scenario(np.random.default_rng(0), num_devices=2))
+    body = {"scenario": data}
+    if field == "timeout_s":
+        body["timeout_s"] = "@"
+    else:
+        data["devices"][0]["threshold"] = "@"
+    raw = json.dumps(body).replace('"@"', token).encode()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+    try:
+        conn.request("POST", "/v1/solve", raw, {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        assert reply.status == 400
+        error = json.loads(reply.read())["error"]
+        assert error["code"] == "invalid-json" and token.lstrip("-") in error["message"]
+    finally:
+        conn.close()
+

@@ -65,7 +65,8 @@ def test_solve_trace_metrics_and_json_timings(capsys, tmp_path):
     # --timings --json emits a machine-readable breakdown.
     start = out.index("{")
     payload = json.loads(out[start : out.index("}", start) + 1])
-    assert "extraction_seconds" in payload and "workers" in payload
+    assert {f"{phase}_seconds" for phase in ("extraction", "selection")} <= payload.keys()
+    assert "workers" in payload
     # --metrics renders the per-phase tree with counts.
     assert "extraction" in out and "selection" in out and "counters:" in out
     # --trace wrote a schema-valid JSONL trace whose root covers the phases.

@@ -77,8 +77,8 @@ def test_hipo_solution_timing_fields():
 
     sc = simple_scenario([(10.0, 10.0)])
     sol = solve_hipo(sc)
-    assert sol.extraction_seconds >= 0.0
-    assert sol.selection_seconds >= 0.0
+    assert sol.trace.find("extraction").wall_s >= 0.0
+    assert sol.trace.find("selection").wall_s >= 0.0
 
 
 def test_boundary_curves_extend():
