@@ -60,6 +60,7 @@ python -m pytest -x -q
 # The batch intersection kernels must equal their scalar oracles bit for
 # bit, the two kernel sets each other (the masked line-of-sight path
 # included), the boundary families the scalar coverability conditions,
+# the pair-sparse coverability and power kernels their dense forms,
 # positions and candidate sets their recorded digests, and the batched
 # position pass the per-task one on the scene corpus, and every hostile
 # solve request must end as a 400, a 429 or a queued job: re-run these
@@ -67,7 +68,7 @@ python -m pytest -x -q
 # tests/conftest.py).  Tier-1 above keeps the default example counts.
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
     tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
-    tests/core/test_extraction_digest.py tests/core/test_position_batches.py \
+    tests/model/test_sparse_kernels.py tests/core/test_extraction_digest.py tests/core/test_position_batches.py \
     tests/serve/test_submit_fuzz.py -x -q
 
 # These examples call the solver, extraction and candidate-set API

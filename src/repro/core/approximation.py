@@ -111,28 +111,26 @@ class PairApproximation:
 
 
 class ApproxPowerCalculator:
-    """Per-scenario quantizer: approximated power vectors for all devices.
+    """Per-scenario quantizer: approximated powers of (position, device) pairs.
 
-    Groups devices by device type so that one ``searchsorted`` per
-    (charger type, device type) pair quantizes every device distance at once.
+    Labels every device with its device type so that one ``searchsorted``
+    per (charger type, device type) pair quantizes all pairs of that type
+    at once.
     """
 
     def __init__(self, evaluator: PowerEvaluator, charger_types, eps1: float):
         self.evaluator = evaluator
         self.eps1 = eps1
         self._pairs: dict[tuple[str, str], PairApproximation] = {}
-        self._groups: dict[str, np.ndarray] = {}
-        dtypes: dict[str, DeviceType] = {}
-        for j, dev in enumerate(evaluator.devices):
-            dtypes[dev.dtype.name] = dev.dtype
-        for name in dtypes:
-            self._groups[name] = np.array(
-                [j for j, dev in enumerate(evaluator.devices) if dev.dtype.name == name], dtype=int
-            )
+        dtypes = {dev.dtype.name: dev.dtype for dev in evaluator.devices}
+        self._dtypes = list(dtypes.values())
+        # Device index -> index of its device type in ``_dtypes``.
+        names = list(dtypes)
+        self._type_of = np.array([names.index(dev.dtype.name) for dev in evaluator.devices], dtype=int)
         for ct in charger_types:
-            for name, dt in dtypes.items():
+            for dt in self._dtypes:
                 coeff = evaluator.table.get(ct, dt)
-                self._pairs[(ct.name, name)] = PairApproximation.build(coeff, ct, eps1)
+                self._pairs[(ct.name, dt.name)] = PairApproximation.build(coeff, ct, eps1)
 
     def pair(self, ctype: ChargerType, dtype: DeviceType) -> PairApproximation:
         """The (cached) level set for one charger/device type pair."""
@@ -143,27 +141,27 @@ class ApproxPowerCalculator:
             )
         return self._pairs[key]
 
-    def approx_powers(self, ctype: ChargerType, dists: np.ndarray) -> np.ndarray:
-        """Approximated power from a *ctype* charger at per-device distances
-        *dists*; geometry/LOS masking is the caller's job.
+    def approx_powers(self, ctype: ChargerType, dists: np.ndarray, devices: np.ndarray) -> np.ndarray:
+        """Approximated power from a *ctype* charger on (position, device)
+        pairs: ``dists[k]`` is the distance of pair *k* and ``devices[k]``
+        the index of its device.  Geometry/LOS masking is the caller's job.
 
-        Accepts either a length-``No`` vector (one charger position) or any
-        ``(..., No)`` batch — the device axis must be last; quantization is
-        one ``searchsorted`` per device-type group either way.
+        One ``searchsorted`` per device type quantizes all pairs of that
+        type.
         """
         dd = np.asarray(dists, dtype=float)
         out = np.zeros_like(dd)
-        for name, idx in self._groups.items():
-            if idx.size == 0:
-                continue
-            pa = self._pairs[(ctype.name, name)]
-            d = dd[..., idx]
+        types = self._type_of[devices]
+        for t, dt in enumerate(self._dtypes):
+            sel = np.nonzero(types == t)[0]
+            pa = self._pairs[(ctype.name, dt.name)]
+            d = dd[sel]
             # Inlined quantization (hot path; see PairApproximation.approx_power).
             k = np.searchsorted(pa.levels, d - 1e-12, side="left")
             np.minimum(k, pa.num_levels - 1, out=k)
             vals = pa.powers[k]
             vals[(d < pa.dmin - 1e-12) | (d > pa.dmax + 1e-12)] = 0.0
-            out[..., idx] = vals
+            out[sel] = vals
         return out
 
     def boundary_radii(self, ctype: ChargerType, device_index: int) -> np.ndarray:

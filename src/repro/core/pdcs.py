@@ -70,10 +70,11 @@ def sweep_orientations(
 
     *mask* ``(R, No)`` marks devices satisfying every orientation-independent
     condition of Eq. (1) at each position; *bearings* ``(R, No)`` are the
-    charger→device bearings.  Returns ``(rows, thetas, covered)`` with one
-    entry per PDCS: its position row, its witness orientation and its
-    covered devices as a ``(K, No)`` boolean mask.  Rows ascend; within a
-    row the PDCSs keep the order in which the sweep first meets them.
+    charger→device bearings, read only where *mask* is True.  Returns
+    ``(rows, thetas, covered)`` with one entry per PDCS: its position row,
+    its witness orientation and its covered devices as a ``(K, No)``
+    boolean mask.  Rows ascend; within a row the PDCSs keep the order in
+    which the sweep first meets them.
     """
     mask = np.atleast_2d(mask)
     bearings = np.atleast_2d(bearings)
@@ -140,10 +141,11 @@ def sweep_position_batch(
     """Candidate extraction at a batch of positions for one charger type.
 
     Runs the orientation-independent coverability tests for the whole batch
-    in one broadcast (:meth:`PowerEvaluator.coverable_many`), quantizes the
-    approximated powers for every coverable row at once, applies the
-    Algorithm-1 sweep to the whole batch (:func:`sweep_orientations`) and
-    keeps the first of equal candidates (equal :func:`candidate_keys`).
+    at once (:meth:`PowerEvaluator.coverable_many`), quantizes the
+    approximated powers (Lemma 4.1) and fills the exact ones only on the
+    coverable (position, device) pairs, applies the Algorithm-1 sweep to
+    the whole batch (:func:`sweep_orientations`) and keeps the first of
+    equal candidates (equal :func:`candidate_keys`).
     *approx* is an :class:`~repro.core.approximation.ApproxPowerCalculator`.
 
     Returns ``(swept, raw, sweep_seconds)``.  *swept* is the tuple of
@@ -171,12 +173,18 @@ def sweep_position_batch(
     live = np.nonzero(mask_b.any(axis=1))[0]
     if live.size == 0:
         return _no_candidates(evaluator.num_devices), 0, 0.0
+    # Lemma-4.1 quantization and the exact power law on the coverable
+    # (position, device) pairs of the live rows only, scattered into rows.
+    mask_l = mask_b[live]
+    i, j = np.nonzero(mask_l)
+    d = dists_b[live[i], j]
     a_vec, b_vec = evaluator.coefficients(ctype)
-    approx_b = approx.approx_powers(ctype, dists_b[live])  # (live, No)
-    exact_b = active_backend().power_fill(a_vec, b_vec, dists_b[live])
+    approx_l, exact_l = np.zeros(mask_l.shape), np.zeros(mask_l.shape)
+    approx_l[i, j] = approx.approx_powers(ctype, d, j)
+    exact_l[i, j] = active_backend().power_fill(a_vec[j], b_vec[j], d)
     t0 = time.perf_counter()
-    rows, thetas, covered = sweep_orientations(ctype, mask_b[live], bearings_b[live])
-    keys = candidate_keys(covered, approx_b[rows])
+    rows, thetas, covered = sweep_orientations(ctype, mask_l, bearings_b[live])
+    keys = candidate_keys(covered, approx_l[rows])
     _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True)
     first.sort()
     sweep_seconds = time.perf_counter() - t0
@@ -184,8 +192,8 @@ def sweep_position_batch(
     swept = (
         pts[live[rows]],
         _normalized_angles(thetas[first]),
-        np.where(covered, approx_b[rows], 0.0),
-        np.where(covered, exact_b[rows], 0.0),
+        np.where(covered, approx_l[rows], 0.0),
+        np.where(covered, exact_l[rows], 0.0),
         keys[first],
     )
     if metrics is not None:

@@ -111,13 +111,17 @@ class HIPOSolution:
         return render_run_report(self.trace, self.metrics)
 
 
-#: Positions per sweep-chunk task; bounds both worker payload size and the
-#: peak (positions × devices) intermediates of the batch kernels.  Chunking
+#: (positions × devices) elements per sweep-chunk task: a chunk holds
+#: ``max(1, EXTRACTION_ELEMENT_BUDGET // No)`` positions of one charger
+#: type.  It bounds the worker payload and the peak (positions × devices)
+#: intermediates of the batch kernels, about 70 bytes an element.  Chunking
 #: only bounds memory and task granularity — record order is preserved — so
-#: any positive value yields byte-identical candidates.  Measured with the
-#: ``benchmarks/perf`` harness (README.md, Findings): 128 and 512 run within
-#: noise of each other on the 40-device scene.
-DEFAULT_EXTRACTION_CHUNK = 128
+#: any positive value yields byte-identical candidates.  2**14 keeps the
+#: peak RSS of the ``benchmarks/perf`` solve workloads within 1 % of fixed
+#: 128-position chunks (2**15 and 2**16 raised it by up to 5 % and 12 %)
+#: while a 40-device scene needs a third as many chunks (DESIGN.md §6
+#: item 13).
+EXTRACTION_ELEMENT_BUDGET = 1 << 14
 
 
 def _sweep_chunk(gen: CandidateGenerator, task: tuple[int, np.ndarray]):
@@ -167,9 +171,11 @@ def build_candidate_set(
     or the dense grid of the candidate ablation bench) — the PDCS
     orientation sweep is still applied at each given position.
 
-    The sweeps are one list of tasks — :data:`DEFAULT_EXTRACTION_CHUNK`
-    positions of one charger type each — whose results one loop consumes
-    in order, one at a time (:func:`~repro.core.distributed.run_tasks`).
+    The sweeps are one list of tasks — chunks of
+    ``max(1, EXTRACTION_ELEMENT_BUDGET // No)`` positions of one charger
+    type each (:data:`EXTRACTION_ELEMENT_BUDGET`) — whose results one loop
+    consumes in order, one at a time
+    (:func:`~repro.core.distributed.run_tasks`).
     ``workers > 1`` only swaps the runner for an :func:`extraction_pool`,
     which also runs the Algorithm-4 per-device position tasks.  In-process
     and pooled runs produce identical candidate sets in identical order.
@@ -192,7 +198,7 @@ def build_candidate_set(
     positions_per_type: dict[str, int] = {}
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
     nworkers = max(1, int(workers or 1))
-    chunk = DEFAULT_EXTRACTION_CHUNK
+    chunk = max(1, EXTRACTION_ELEMENT_BUDGET // max(1, scenario.num_devices))
     sweep_s = 0.0  # CPU-seconds in sweeps + in-chunk dedupe (worker-side when pooled)
     dedupe_s = 0.0  # wall-clock in the cross-chunk dedupe
 
@@ -226,6 +232,7 @@ def build_candidate_set(
                 for q, ct in active
                 for lo in range(0, len(pos_map[ct.name]), chunk)
             ]
+            sw_sp.set(chunks=len(tasks))
             check_cancel(cancel)
             for (q, _), ((*rows, keys), raw, task_sweep_s, snap) in zip(
                 tasks, run_tasks(_sweep_chunk, tasks, gen, pool)

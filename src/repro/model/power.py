@@ -152,9 +152,9 @@ class PowerEvaluator:
         Returns ``(mask, dists, bearings)`` where ``mask[j]`` is True iff
         device *j* satisfies every condition of Eq. (1) except the charger
         cone test (ring distance, device receiving cone, line of sight), and
-        ``bearings[j]`` is the charger→device bearing.  Algorithm 1's
-        rotational sweep then only has to intersect ``bearings`` with the
-        charger cone.
+        ``bearings[j]`` is the charger→device bearing wherever the ring
+        test passes (0 elsewhere).  Algorithm 1's rotational sweep then
+        only has to intersect ``bearings`` with the charger cone.
         """
         mask, dists, bearings = self.coverable_many(ctype, position)
         return mask[0], dists[0], bearings[0]
@@ -165,21 +165,27 @@ class PowerEvaluator:
         """:meth:`coverable` over many candidate positions.
 
         Returns ``(mask, dists, bearings)`` with shape
-        ``(positions × devices)`` each.  The distance, ring and
-        receiving-cone tests are one broadcast over the whole batch; line
-        of sight (:meth:`los_mask_many`) is tested only on the pairs that
-        pass them.
+        ``(positions × devices)`` each.  The distance and ring tests are
+        one broadcast over the whole batch; the bearing and the
+        receiving-cone test run only on the pairs that pass the ring test,
+        and line of sight (:meth:`los_mask_many`) only on the pairs that
+        pass both.  ``bearings`` is therefore defined only where the ring
+        test passes (a superset of *mask*) and is 0 elsewhere.
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-        delta = self.positions[None, :, :] - pos[:, None, :]  # (P, No, 2)
-        dists = np.hypot(delta[..., 0], delta[..., 1])
-        bearings = np.mod(np.arctan2(delta[..., 1], delta[..., 0]), TWO_PI)
+        dx = self.positions[None, :, 0] - pos[:, 0:1]  # (P, No)
+        dy = self.positions[None, :, 1] - pos[:, 1:2]
+        dists = np.hypot(dx, dy)
         mask = (dists >= ctype.dmin - EPS) & (dists <= ctype.dmax + EPS) & (dists >= EPS)
-        if mask.any():
-            # charger inside the device receiving cone: bearing device→charger
-            rev = np.mod(bearings + math.pi, TWO_PI)
-            diff = np.abs(np.mod(rev - self.orientations[None, :] + math.pi, TWO_PI) - math.pi)
-            mask &= diff <= self.half_angles[None, :] + EPS
+        bearings = np.zeros(dists.shape)
+        i, j = np.nonzero(mask)
+        bearing = np.mod(np.arctan2(dy[i, j], dx[i, j]), TWO_PI)
+        bearings[i, j] = bearing
+        # charger inside the device receiving cone: bearing device→charger
+        rev = np.mod(bearing + math.pi, TWO_PI)
+        diff = np.abs(np.mod(rev - self.orientations[j] + math.pi, TWO_PI) - math.pi)
+        away = diff > self.half_angles[j] + EPS
+        mask[i[away], j[away]] = False
         if mask.any() and self.obstacles:
             mask = self.los_mask_many(pos, mask)
         return mask, dists, bearings

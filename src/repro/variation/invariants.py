@@ -7,7 +7,7 @@ the exact bound only runs where brute force is affordable); a returned
 :class:`InvariantViolation` carries JSON-serializable evidence for the
 replayable repro file.
 
-The five shipped invariants:
+The six shipped invariants:
 
 * ``budget_monotone``  — shrinking a charger budget never *raises* the
   greedy's achieved (approximated) utility;
@@ -22,7 +22,10 @@ The five shipped invariants:
   (PR 5) is byte-identical to solving with no cache at all;
 * ``cross_impl``       — the ``numpy`` and ``pyloop`` backends (two
   independent kernel implementations) produce byte-identical placements
-  and utilities.
+  and utilities;
+* ``power_bound``      — Lemma 4.1: on every covered entry of every
+  candidate the exact and approximated powers satisfy
+  ``1 ≤ P/P̃ ≤ 1 + ε1``, and the approximated power is never 0 there.
 
 The solver is injectable through :class:`InvariantContext` so the test
 suite can plant a deliberately buggy shim and confirm the harness catches,
@@ -37,6 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..backend import use_backend
+from ..core.approximation import epsilon1_for
 from ..core.placement import HIPOSolution, solve_hipo
 from ..core.reuse import CandidateSetCache
 from ..geometry import rectangle
@@ -241,6 +245,46 @@ def cross_impl(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolat
     return None
 
 
+def power_bound(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolation | None:
+    """Lemma 4.1 on every candidate: ``1 ≤ P/P̃ ≤ 1 + ε1`` where covered.
+
+    A candidate covers a device where its exact power is positive.  There
+    the approximated power must be positive too (the ring test's ``EPS``
+    is wider than the quantizer's ``1e-12``, so a device just past
+    ``dmax`` could fall in the ring and out of the levels), and off the
+    covered set it must be 0.  Pairs with ``b = 0`` lie outside the
+    lemma's level construction and are skipped.
+    """
+    s = varied.scenario
+    cs = ctx.solve(s, keep_candidates=True).candidate_set
+    if cs is None or cs.num_candidates == 0:
+        return None
+    ev = s.evaluator()
+    b = np.stack([ev.coefficients(ct)[1] for ct in s.charger_types])[cs.part_of]
+    exact, approx = cs.exact_power, cs.approx_power
+    covered = exact > 0.0
+    lemma = covered & (b > 0.0)
+    eps1 = epsilon1_for(ctx.eps)
+    ratio = np.divide(exact, approx, out=np.ones_like(exact), where=approx > 0.0)
+    bad = lemma & ((approx <= 0.0) | (ratio < 1.0 - ctx.tol) | (ratio > 1.0 + eps1 + ctx.tol))
+    bad |= ~covered & (approx != 0.0)
+    if bad.any():
+        k, j = (int(x) for x in np.argwhere(bad)[0])
+        return InvariantViolation(
+            "power_bound",
+            "an approximated power broke Lemma 4.1's bound",
+            {
+                "candidate": k,
+                "device": j,
+                "exact_power": float(exact[k, j]),
+                "approx_power": float(approx[k, j]),
+                "eps1": eps1,
+                "violations": int(bad.sum()),
+            },
+        )
+    return None
+
+
 #: Registry: invariant name → check callable, in documentation order.
 INVARIANTS: dict[str, Callable[[VariedScenario, InvariantContext], InvariantViolation | None]] = {
     "budget_monotone": budget_monotone,
@@ -248,6 +292,7 @@ INVARIANTS: dict[str, Callable[[VariedScenario, InvariantContext], InvariantViol
     "approx_bound": approx_bound,
     "warm_cold": warm_cold,
     "cross_impl": cross_impl,
+    "power_bound": power_bound,
 }
 
 

@@ -121,12 +121,12 @@ def test_calculator_groups_device_types():
     ]
     ev = PowerEvaluator(devices, [], table, [ct])
     calc = ApproxPowerCalculator(ev, [ct], eps1=0.4)
-    dists = np.array([3.0, 3.0])
-    out = calc.approx_powers(ct, dists)
+    out = calc.approx_powers(ct, np.array([3.0, 3.0, 3.0]), np.array([0, 1, 0]))
     # Each device quantized with its own pair coefficients.
     assert math.isclose(out[0], calc.pair(ct, dt1).approx_power(3.0))
     assert math.isclose(out[1], calc.pair(ct, dt2).approx_power(3.0))
     assert out[0] != out[1]
+    assert out[2] == out[0]
 
 
 def test_calculator_boundary_radii_per_device():

@@ -33,6 +33,7 @@ from repro.core import (
     build_candidate_set,
     deserialize_candidate_set,
     parallel_positions_by_type,
+    placement,
     serialize_candidate_set,
     sweep_position_batch,
 )
@@ -417,9 +418,10 @@ def test_position_type_pass_memory_is_bounded():
     assert peak - pts.nbytes < 4 * 1024 * 1024, (peak, pts.nbytes)
 
 
-def test_sweep_chunk_memory_is_bounded():
-    """A dense chunk (128 positions seeing 64 coverable devices each) keeps
-    the batched sweep's intermediates under 64 MB."""
+def _ring_chunk_peak(num_positions: int) -> int:
+    """tracemalloc peak of one sweep chunk of *num_positions* positions that
+    each see all 64 devices of a ring around them (about 61 raw candidates
+    a position)."""
     devices = 64
     angles = np.arange(devices) * (TWO_PI / devices)
     ring = [
@@ -429,7 +431,7 @@ def test_sweep_chunk_memory_is_bounded():
     ct = ChargerType("ct", math.pi / 2.0, 0.5, 10.0)
     ev = PowerEvaluator(ring, [], make_table([ct], [DT]), [ct])
     approx = ApproxPowerCalculator(ev, [ct], 0.05)
-    positions = 20.0 + np.random.default_rng(0).uniform(-0.5, 0.5, size=(128, 2))
+    positions = 20.0 + np.random.default_rng(0).uniform(-0.5, 0.5, size=(num_positions, 2))
     mask, _, _ = ev.coverable_many(ct, positions)
     assert mask.sum(axis=1).min() == devices
     tracemalloc.start()
@@ -439,4 +441,20 @@ def test_sweep_chunk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert raw >= len(kept) > 0
+    return peak
+
+
+def test_sweep_chunk_memory_is_bounded():
+    """A dense chunk (128 positions seeing 64 coverable devices each) keeps
+    the batched sweep's intermediates under 64 MB."""
+    peak = _ring_chunk_peak(128)
     assert peak < 64 * 1024 * 1024, peak
+
+
+def test_default_budget_chunk_memory_is_bounded():
+    """One chunk of the default element budget on the same 64-device ring
+    (256 positions) peaks under 40 MB.  The raw candidates' key and power
+    rows dominate, so a doubled budget would double the peak (about 64 MB
+    here)."""
+    peak = _ring_chunk_peak(placement.EXTRACTION_ELEMENT_BUDGET // 64)
+    assert peak < 40 * 1024 * 1024, peak

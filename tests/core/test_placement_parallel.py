@@ -63,23 +63,39 @@ def test_solve_equivalence_and_determinism(make):
     assert again.candidate_set.num_candidates == s4.candidate_set.num_candidates
 
 
+#: Element budgets: a single element, one below the five devices of the
+#: test scenes (a position a chunk either way), seven positions a chunk,
+#: the default, and more than any scene holds.
+BUDGETS = (1, 4, 35, placement.EXTRACTION_ELEMENT_BUDGET, 1 << 30)
+
+
 def test_chunk_size_invariance(monkeypatch):
+    """Every element budget gives the same candidate set, serial and pooled."""
     sc = scenario_with_obstacles()
     base = build_candidate_set(sc)
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(placement, "DEFAULT_EXTRACTION_CHUNK", chunk)
+    for budget in BUDGETS:
+        monkeypatch.setattr(placement, "EXTRACTION_ELEMENT_BUDGET", budget)
         assert_candidate_sets_identical(base, build_candidate_set(sc))
         assert_candidate_sets_identical(base, build_candidate_set(sc, workers=2))
 
 
 def test_chunk_size_recorded_in_sweeps_span(monkeypatch):
+    """The ``sweeps`` span records the positions per chunk an element
+    budget gives, ``max(1, budget // No)``, and the number of chunks."""
     from repro.obs import Tracer
 
-    monkeypatch.setattr(placement, "DEFAULT_EXTRACTION_CHUNK", 33)
-    trace = Tracer()
-    build_candidate_set(scenario_no_obstacles(), tracer=trace)
-    sweeps = trace.find_all("sweeps")
-    assert sweeps and sweeps[-1].attrs["chunk_size"] == 33
+    sc = scenario_no_obstacles()
+    for budget in BUDGETS:
+        monkeypatch.setattr(placement, "EXTRACTION_ELEMENT_BUDGET", budget)
+        trace = Tracer()
+        cs = build_candidate_set(sc, tracer=trace)
+        chunk = max(1, budget // sc.num_devices)
+        (sweeps,) = trace.find_all("sweeps")
+        assert sweeps.attrs["chunk_size"] == chunk
+        assert sweeps.attrs["chunks"] == sum(
+            -(-n // chunk) for n in cs.positions_per_type.values()
+        )
+    assert sweeps.attrs["chunks"] == len(cs.positions_per_type) == 1
 
 
 def test_timings_populated():

@@ -61,9 +61,10 @@ def small():
 
 @pytest.fixture(scope="module")
 def big():
-    """An 80-device scene: its cold solve takes seconds, long enough to
-    interrupt."""
-    return scenario_to_dict(random_scenario(np.random.default_rng(0), device_multiple=8))
+    """A 160-device scene: its cold solve takes seconds (3.7 s in-process
+    on a 2-vCPU host), long enough to interrupt well after the 0.3 s and
+    0.5 s timeouts below."""
+    return scenario_to_dict(random_scenario(np.random.default_rng(0), device_multiple=16))
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Solver invariants: pass on healthy solver, catch an injected bug."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.backend import active_backend
@@ -78,8 +81,6 @@ def test_cross_impl_catches_backend_dependent_shim():
 
 
 def test_violation_details_are_json_plain():
-    import json
-
     def buggy(scenario, **kw):
         sol = solve_hipo(scenario, **kw)
         if sum(scenario.budgets.values()) % 2 == 1:
@@ -90,3 +91,34 @@ def test_violation_details_are_json_plain():
         "budget_monotone", small(), InvariantContext(eps=0.4, solver=buggy)
     )
     json.dumps(violation.to_dict())  # must not raise
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.01, 0.0, None])
+def test_power_bound_catches_broken_approximated_powers(factor):
+    """An approximated power set to half the exact one (ratio 2 > 1 + ε1
+    = 1.4 at ε = 0.15), to 1 % above it (ratio below 1), to 0, or leaked
+    off the covered set (``None``) breaks the Lemma 4.1 check."""
+
+    def buggy(scenario, **kw):
+        sol = solve_hipo(scenario, **kw)
+        cs = sol.candidate_set
+        approx = cs.approx_power.copy()
+        k, j = np.argwhere(cs.exact_power > 0.0)[0]
+        if factor is None:
+            approx[k, cs.exact_power[k] == 0.0] = 1.0
+        else:
+            approx[k, j] = cs.exact_power[k, j] * factor
+        cs.approx_power = approx
+        return sol
+
+    healthy = InvariantContext(eps=0.15)
+    assert check_invariant("power_bound", small(), healthy) is None
+    violation = check_invariant("power_bound", small(), InvariantContext(eps=0.15, solver=buggy))
+    assert violation is not None and violation.invariant == "power_bound"
+    assert violation.details["violations"] >= 1
+    json.dumps(violation.to_dict())
+
+
+def test_power_bound_on_obstacle_rich_family():
+    v = get_family("corridor").build({"walls": 2, "devices": 3}, seed=4)
+    assert check_invariant("power_bound", v, CTX) is None
