@@ -3,9 +3,9 @@
 These mirror the load-bearing half of ``mypy --strict``
 (``disallow_untyped_defs`` and ``disallow_any_generics``) as AST checks,
 so the typing gate is enforceable in environments where mypy itself is
-not installed (``scripts/typecheck.sh`` skips gracefully there).  Scope
-matches the mypy config in ``pyproject.toml``: ``model``, ``geometry``,
-``obs``, ``serve``, plus this package.
+not installed (``scripts/typecheck.sh`` skips gracefully there).  Scope:
+the mypy config's packages in ``pyproject.toml`` (``model``, ``geometry``,
+``obs``, ``serve``), this package, and ``opt``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..engine import ModuleContext, Project, Rule, Violation
 
 __all__ = ["AnnotationsRequiredRule", "BareGenericRule"]
 
-_TYPED_SCOPE = ("model", "geometry", "obs", "serve", "analysis")
+_TYPED_SCOPE = ("model", "geometry", "obs", "serve", "analysis", "opt")
 
 #: Builtin/typing containers that must be parameterized in annotations.
 _GENERIC_NAMES = {

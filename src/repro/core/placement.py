@@ -291,12 +291,14 @@ def select_strategies(
     the default picks the globally best extendable candidate each round
     (both carry the ``1/2`` guarantee).  ``lazy=True`` uses CELF.
     ``refine=True`` post-processes the greedy output with matroid-preserving
-    swap local search (value never decreases; guarantee unchanged).
+    swap local search (value never decreases; guarantee unchanged).  The
+    returned result then holds the refined picks and value, the greedy's
+    ``gains`` and the evaluations of both passes.
 
     *metrics*, when given, records the greedy convergence: the
-    ``greedy.marginal_gain`` histogram (one observation per iteration),
-    iteration/evaluation counters, and — for ``lazy=True`` — the
-    evaluations CELF saved versus a full scan every round.
+    ``greedy.marginal_gain`` histogram (one observation per greedy
+    iteration), iteration/evaluation counters, and — for ``lazy=True`` —
+    the evaluations CELF saved versus a full scan every round.
     """
     ev = scenario.evaluator()
     P = candidates.approx_power if objective_power == "approx" else candidates.exact_power
@@ -310,12 +312,16 @@ def select_strategies(
         result = greedy_matroid(objective, matroid, part_order=list(range(len(candidates.capacities))))
     else:
         result = greedy_matroid(objective, matroid)
+    greedy_evaluations = result.evaluations
     if refine and result.indices:
         from ..opt.local_search import local_search_refine
 
-        refined = local_search_refine(objective, matroid, result.indices)
-        if refined.value > result.value:
-            result = refined
+        # A swap may improve the placement; the gains stay the greedy's
+        # iterations, and the evaluations count both passes.
+        swaps = local_search_refine(objective, matroid, result.indices)
+        if swaps.value > result.value:
+            result.indices, result.value = swaps.indices, swaps.value
+        result.evaluations += swaps.evaluations
     if metrics is not None:
         metrics.inc("greedy.iterations", len(result.gains))
         metrics.inc("greedy.evaluations", result.evaluations)
@@ -323,7 +329,7 @@ def select_strategies(
             metrics.observe("greedy.marginal_gain", gain)
         if lazy:
             full_scan = candidates.num_candidates * max(1, len(result.gains))
-            metrics.inc("greedy.lazy_evaluations_saved", max(0, full_scan - result.evaluations))
+            metrics.inc("greedy.lazy_evaluations_saved", max(0, full_scan - greedy_evaluations))
     return [candidates.strategy(k) for k in result.indices], result
 
 

@@ -1,5 +1,5 @@
-"""Optimization substrate: submodular greedy, matroids, matching, scheduling,
-TSP heuristics and metaheuristics."""
+"""Optimization substrate: submodular greedy under a partition matroid,
+matching, scheduling, TSP heuristics and metaheuristics."""
 
 from .heuristics import (
     HeuristicResult,
@@ -12,7 +12,7 @@ from .continuous import ContinuousGreedyResult, continuous_greedy
 from .local_search import local_search_refine
 from .matching import has_perfect_matching, hopcroft_karp, hungarian
 from .paths import VisibilityGraph, path_length_matrix, shortest_path_length
-from .matroid import Matroid, PartitionMatroid, UniformMatroid
+from .matroid import PartitionMatroid
 from .scheduling import Schedule, brute_force_makespan, lpt_schedule, makespan
 from .submodular import (
     AdditivePowerObjective,
@@ -22,7 +22,6 @@ from .submodular import (
     exhaustive_best,
     greedy_matroid,
     lazy_greedy_matroid,
-    stochastic_greedy_matroid,
 )
 from .tsp import (
     mtsp_split,
@@ -42,11 +41,9 @@ __all__ = [
     "ContinuousGreedyResult",
     "GreedyResult",
     "HeuristicResult",
-    "Matroid",
     "PartitionMatroid",
     "ProportionalFairnessObjective",
     "Schedule",
-    "UniformMatroid",
     "VisibilityGraph",
     "ant_colony",
     "brute_force_makespan",
@@ -70,7 +67,6 @@ __all__ = [
     "random_feasible_solution",
     "shortest_path_length",
     "simulated_annealing",
-    "stochastic_greedy_matroid",
     "tour_length",
     "tour_length_matrix",
     "two_opt",

@@ -1,71 +1,20 @@
-"""Matroids (Definitions 4.6/4.7 of the paper).
+"""The partition matroid of the HIPO budgets (Definitions 4.6/4.7).
 
-Only the independence oracle is needed by the greedy algorithm; we provide a
-small hierarchy with :class:`PartitionMatroid` (the HIPO constraint — one
-part per charger type with capacity ``N_q_s``) and :class:`UniformMatroid`.
-Ground-set elements are integers (indices into a candidate list).
+One part per charger type, part *q* holding at most ``N_q_s`` chargers.
+Ground-set elements are integers (indices into a candidate list).  The
+greedy reads ``part_of`` and ``capacities`` directly;
+:meth:`PartitionMatroid.is_independent` is the oracle of the exhaustive
+reference and of the swap local search's start check.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
-__all__ = ["Matroid", "PartitionMatroid", "UniformMatroid"]
+__all__ = ["PartitionMatroid"]
 
 
-class Matroid(ABC):
-    """Abstract matroid over ground set ``{0, .., n-1}``."""
-
-    def __init__(self, ground_size: int):
-        if ground_size < 0:
-            raise ValueError("ground size must be non-negative")
-        self.ground_size = ground_size
-
-    @abstractmethod
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        """Independence oracle."""
-
-    @abstractmethod
-    def can_extend(self, subset: Sequence[int], element: int) -> bool:
-        """Whether ``subset + {element}`` stays independent.
-
-        Must be equivalent to ``is_independent(set(subset) | {element})`` but
-        may be faster with incremental bookkeeping by the caller.
-        """
-
-    def rank(self) -> int:
-        """Size of a maximal independent set (default: brute greedy)."""
-        chosen: list[int] = []
-        for e in range(self.ground_size):
-            if self.can_extend(chosen, e):
-                chosen.append(e)
-        return len(chosen)
-
-
-class UniformMatroid(Matroid):
-    """Independent sets are those of size at most *k*."""
-
-    def __init__(self, ground_size: int, k: int):
-        super().__init__(ground_size)
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        self.k = k
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return len(s) <= self.k and all(0 <= e < self.ground_size for e in s)
-
-    def can_extend(self, subset: Sequence[int], element: int) -> bool:
-        if not (0 <= element < self.ground_size) or element in subset:
-            return False
-        return len(subset) + 1 <= self.k
-
-    def rank(self) -> int:
-        return min(self.k, self.ground_size)
-
-
-class PartitionMatroid(Matroid):
+class PartitionMatroid:
     """Ground set partitioned into parts; part *p* may contribute at most
     ``capacities[p]`` elements (Definition 4.7).
 
@@ -77,8 +26,8 @@ class PartitionMatroid(Matroid):
         ``capacities[p]`` is the cap ``l_p`` of part *p*.
     """
 
-    def __init__(self, part_of: Sequence[int], capacities: Sequence[int]):
-        super().__init__(len(part_of))
+    def __init__(self, part_of: Sequence[int], capacities: Sequence[int]) -> None:
+        self.ground_size = len(part_of)
         self.part_of = list(part_of)
         self.capacities = list(capacities)
         if any(c < 0 for c in self.capacities):
@@ -100,13 +49,6 @@ class PartitionMatroid(Matroid):
             seen.add(e)
             counts[self.part_of[e]] += 1
         return all(c <= cap for c, cap in zip(counts, self.capacities))
-
-    def can_extend(self, subset: Sequence[int], element: int) -> bool:
-        if not (0 <= element < self.ground_size) or element in subset:
-            return False
-        p = self.part_of[element]
-        used = sum(1 for e in subset if self.part_of[e] == p)
-        return used + 1 <= self.capacities[p]
 
     def rank(self) -> int:
         counts = [0] * self.num_parts

@@ -56,7 +56,7 @@ class VisibilityGraph:
     demand per query (the standard two-point visibility-graph query).
     """
 
-    def __init__(self, obstacles: Sequence[Polygon], *, margin: float = 1e-6):
+    def __init__(self, obstacles: Sequence[Polygon], *, margin: float = 1e-6) -> None:
         self.obstacles = list(obstacles)
         self._vertices = _offset_vertices(self.obstacles, margin)
         #: vertex index -> [(neighbour index, edge length)]

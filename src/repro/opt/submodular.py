@@ -1,4 +1,4 @@
-"""Monotone submodular maximization under matroid constraints.
+"""Monotone submodular maximization under a partition matroid.
 
 This implements the solver side of Lemma 4.6 / Theorem 4.2: after PDCS
 extraction, HIPO becomes maximizing
@@ -23,11 +23,11 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matroid import Matroid, PartitionMatroid
+from .matroid import PartitionMatroid
 
 __all__ = [
     "AdditivePowerObjective",
@@ -36,7 +36,6 @@ __all__ = [
     "GreedyResult",
     "greedy_matroid",
     "lazy_greedy_matroid",
-    "stochastic_greedy_matroid",
     "exhaustive_best",
 ]
 
@@ -49,7 +48,9 @@ class AdditivePowerObjective(ABC):
     submodular (the proof of Lemma 4.6 verbatim).
     """
 
-    def __init__(self, power_matrix: np.ndarray, thresholds: np.ndarray, *, scale: float | None = None):
+    def __init__(
+        self, power_matrix: np.ndarray, thresholds: np.ndarray, *, scale: float | None = None
+    ) -> None:
         # Aligned once here: a decoded candidate set's matrix is a view at
         # any byte offset of its blob, and numpy would otherwise copy the
         # whole matrix on every take() of a greedy round.
@@ -99,7 +100,7 @@ class AdditivePowerObjective(ABC):
 class ChargingUtilityObjective(AdditivePowerObjective):
     """The HIPO objective: ``U_j(x) = min(1, x / Pth_j)``, scaled by ``1/No``."""
 
-    def __init__(self, power_matrix: np.ndarray, thresholds: np.ndarray):
+    def __init__(self, power_matrix: np.ndarray, thresholds: np.ndarray) -> None:
         super().__init__(power_matrix, thresholds)
         self.scale = 1.0 / max(1, self.num_devices)
         self._rows: np.ndarray | None = None  # gains() scratch, reused across calls
@@ -149,84 +150,63 @@ class GreedyResult:
     gains: list[float] = field(default_factory=list)
     evaluations: int = 0
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
 
 
 def greedy_matroid(
     objective: AdditivePowerObjective,
-    matroid: Matroid,
+    matroid: PartitionMatroid,
     *,
     part_order: Sequence[int] | None = None,
 ) -> GreedyResult:
-    """Full-scan greedy for a monotone submodular objective under a matroid.
+    """Full-scan greedy for a monotone submodular objective under a
+    partition matroid.
 
-    For a :class:`PartitionMatroid` with *part_order* given, the paper's
-    Algorithm 3 is reproduced exactly: charger types are processed in that
-    order and each type's budget is filled by globally-maximal marginal
-    gains among that type's candidates.  Without *part_order* the standard
-    matroid greedy picks the globally best extendable candidate each round;
-    both achieve the ``1/2`` ratio.
+    Each round scores every unchosen candidate of an open part (one whose
+    capacity is not yet used up) in one :meth:`~AdditivePowerObjective.gains`
+    call, in ascending index order, and takes the best.  Without
+    *part_order* every part is open at once, so each round picks the
+    globally best extendable candidate.  With *part_order* the paper's
+    Algorithm 3 is reproduced exactly: the parts (charger types) are
+    filled one after another in that order.  Both achieve the ``1/2``
+    ratio.
 
-    Zero-gain picks are skipped: they cannot help a monotone objective.
+    Zero-gain picks are skipped: they cannot help a monotone objective, so
+    a stage ends at the first round whose best gain is not positive.
     """
     n = objective.num_candidates
     if matroid.ground_size != n:
         raise ValueError("matroid ground size must match number of candidates")
+    part_of = np.asarray(matroid.part_of, dtype=np.intp)
+    capacities = np.asarray(matroid.capacities, dtype=np.intp)
+    counts = np.zeros(len(capacities), dtype=np.intp)
+    # One row per stage: the parts that stage may pick from.
+    if part_order is None:
+        stages = np.ones((1, len(capacities)), dtype=bool)
+    else:
+        stages = np.eye(len(capacities), dtype=bool)[list(part_order)]
     chosen: list[int] = []
     chosen_mask = np.zeros(n, dtype=bool)
     current = np.zeros(objective.num_devices)
     gains_hist: list[float] = []
     evaluations = 0
-
-    def pick_from(pool: np.ndarray) -> bool:
-        nonlocal evaluations, current
-        if pool.size == 0:
-            return False
-        gains = objective.gains(current, pool)
-        evaluations += int(pool.size)
-        k = int(np.argmax(gains))
-        if gains[k] <= 0.0:
-            return False
-        e = int(pool[k])
-        chosen.append(e)
-        chosen_mask[e] = True
-        current += objective.P[e]
-        gains_hist.append(float(gains[k]))
-        return True
-
-    if part_order is not None:
-        if not isinstance(matroid, PartitionMatroid):
-            raise TypeError("part_order requires a PartitionMatroid")
-        part_of = np.asarray(matroid.part_of)
-        for q in part_order:
-            cap = matroid.capacities[q]
-            members = np.nonzero(part_of == q)[0]
-            for _ in range(cap):
-                pool = members[~chosen_mask[members]]
-                if not pick_from(pool):
-                    break
-    elif isinstance(matroid, PartitionMatroid):
-        # The eligible pool is a pure mask computation for a partition
-        # matroid: unchosen elements whose part still has spare capacity.
-        part_of = np.asarray(matroid.part_of, dtype=int)
-        capacities = np.asarray(matroid.capacities, dtype=int)
-        counts = np.zeros(len(capacities), dtype=int)
+    for allowed in stages:
         while True:
-            open_part = counts < capacities
-            extendable = np.nonzero(~chosen_mask & open_part[part_of])[0]
-            if not pick_from(extendable):
+            pool = np.nonzero(~chosen_mask & (allowed & (counts < capacities))[part_of])[0]
+            if pool.size == 0:
                 break
-            counts[part_of[chosen[-1]]] += 1
-    else:
-        while True:
-            extendable = np.array(
-                [e for e in range(n) if not chosen_mask[e] and matroid.can_extend(chosen, e)],
-                dtype=int,
-            )
-            if not pick_from(extendable):
+            gains = objective.gains(current, pool)
+            evaluations += int(pool.size)
+            k = int(np.argmax(gains))
+            if gains[k] <= 0.0:
                 break
-
+            e = int(pool[k])
+            chosen.append(e)
+            chosen_mask[e] = True
+            counts[part_of[e]] += 1
+            current += objective.P[e]
+            gains_hist.append(float(gains[k]))
     return GreedyResult(chosen, objective.value(chosen), gains_hist, evaluations)
 
 
@@ -279,67 +259,7 @@ def lazy_greedy_matroid(
     return GreedyResult(chosen, objective.value(chosen), gains_hist, evaluations)
 
 
-def stochastic_greedy_matroid(
-    objective: AdditivePowerObjective,
-    matroid: PartitionMatroid,
-    rng: np.random.Generator,
-    *,
-    sample_fraction: float = 0.25,
-) -> GreedyResult:
-    """Stochastic ("lazier than lazy") greedy for a partition matroid.
-
-    Each round evaluates only a uniform random *sample_fraction* of the
-    still-eligible candidates and takes the best of the sample — the
-    Mirzasoleiman et al. trick that trades an additive ε in the guarantee
-    for a large constant-factor cut in gain evaluations.  Useful when the
-    candidate set is huge and even one full scan per round is costly.
-    """
-    if not (0.0 < sample_fraction <= 1.0):
-        raise ValueError("sample_fraction must be in (0, 1]")
-    n = objective.num_candidates
-    if matroid.ground_size != n:
-        raise ValueError("matroid ground size must match number of candidates")
-    part_of = np.asarray(matroid.part_of)
-    remaining = list(matroid.capacities)
-    eligible = np.ones(n, dtype=bool)
-    current = np.zeros(objective.num_devices)
-    chosen: list[int] = []
-    gains_hist: list[float] = []
-    evaluations = 0
-    while True:
-        for q, cap in enumerate(remaining):
-            if cap <= 0:
-                eligible &= part_of != q
-        pool = np.nonzero(eligible)[0]
-        if pool.size == 0:
-            break
-        k = max(1, int(round(sample_fraction * pool.size)))
-        sample = rng.choice(pool, size=min(k, pool.size), replace=False)
-        gains = objective.gains(current, sample)
-        evaluations += int(sample.size)
-        best = int(np.argmax(gains))
-        if gains[best] <= 0.0:
-            # The sample may just be unlucky; fall back to one full scan to
-            # certify termination (keeps the monotone no-zero-gain property).
-            gains_all = objective.gains(current, pool)
-            evaluations += int(pool.size)
-            best_all = int(np.argmax(gains_all))
-            if gains_all[best_all] <= 0.0:
-                break
-            e = int(pool[best_all])
-            gain = float(gains_all[best_all])
-        else:
-            e = int(sample[best])
-            gain = float(gains[best])
-        chosen.append(e)
-        eligible[e] = False
-        current += objective.P[e]
-        remaining[part_of[e]] -= 1
-        gains_hist.append(gain)
-    return GreedyResult(chosen, objective.value(chosen), gains_hist, evaluations)
-
-
-def exhaustive_best(objective: AdditivePowerObjective, matroid: Matroid) -> GreedyResult:
+def exhaustive_best(objective: AdditivePowerObjective, matroid: PartitionMatroid) -> GreedyResult:
     """Optimal solution by exhaustive search over maximal independent sets.
 
     Exponential — only for cross-checking the greedy's approximation ratio on

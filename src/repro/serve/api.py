@@ -70,7 +70,6 @@ import re
 import threading
 import time
 import uuid
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, NoReturn
 
@@ -182,8 +181,6 @@ class SolveService:
         self.default_timeout_s = default_timeout_s
         self.validate_default = validate_default
         self.started_monotonic = time.monotonic()
-        #: Recent per-request span dicts (bounded; served for debugging).
-        self.request_log: deque[dict[str, Any]] = deque(maxlen=256)
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "SolveService":
@@ -436,14 +433,9 @@ class SolveService:
         }
 
     # -- per-request observability ---------------------------------------
-    def observe_request(self, method: str, route: str, status: int, seconds: float) -> None:
-        """Record one HTTP request: counters + histogram + a span dict in
-        the bounded request log (each request is its own one-span trace)."""
-        tracer = Tracer()
-        with tracer.span("http.request", method=method, route=route, status=status) as sp:
-            pass
-        sp.wall_s = seconds  # the handler measured the real duration
-        self.request_log.append(sp.to_dict())
+    def observe_request(self, method: str, status: int, seconds: float) -> None:
+        """Record one HTTP request on the request counters and the
+        ``serve.request_seconds`` histogram."""
         self.metrics.inc("serve.requests")
         self.metrics.inc(f"serve.requests.{method.lower()}")
         self.metrics.inc(f"serve.responses.{status}")
@@ -561,7 +553,7 @@ class _Handler(BaseHTTPRequestHandler):
         except BrokenPipeError:  # client went away mid-response, error responses too
             self.close_connection = True
         finally:
-            self.service.observe_request(method, route, self._status, time.perf_counter() - t0)
+            self.service.observe_request(method, self._status, time.perf_counter() - t0)
 
     def _route(self, method: str, route: str) -> None:
         if route == "/v1/solve" and method == "POST":

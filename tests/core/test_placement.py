@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import build_candidate_set, select_strategies, solve_hipo
+from repro.core import CandidateSet, build_candidate_set, select_strategies, solve_hipo
 from repro.geometry import rectangle
-from repro.opt import exhaustive_best, ChargingUtilityObjective
+from repro.obs import MetricsRegistry
+from repro.opt import (
+    ChargingUtilityObjective,
+    exhaustive_best,
+    greedy_matroid,
+    local_search_refine,
+)
 
 from conftest import simple_scenario
 
@@ -162,6 +168,33 @@ def test_refine_option_never_worse():
     base = solve_hipo(sc)
     refined = solve_hipo(sc, refine=True)
     assert refined.approx_utility >= base.approx_utility - 1e-12
+
+
+@pytest.mark.parametrize("seed, improves", [(6, True), (7, False)])
+def test_refine_reports_the_greedy_iterations_and_both_passes_evaluations(seed, improves):
+    """With ``refine=True`` the iterations and marginal gains are the
+    greedy's, and the evaluations are the greedy's plus the swap pass's,
+    whether or not a swap improved the placement."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.0, 0.06, size=(14, 8))
+    P[rng.random((14, 8)) < 0.5] = 0.0
+    sc = simple_scenario([(float(x), 1.0) for x in range(8)], threshold=0.05)
+    ct = sc.charger_types[0]
+    cs = CandidateSet(P, P, [0] * 7 + [1] * 7, [2, 2], np.zeros((14, 2)), np.zeros(14), (ct, ct))
+    objective = ChargingUtilityObjective(P, sc.evaluator().thresholds)
+    greedy = greedy_matroid(objective, cs.matroid())
+    swaps = local_search_refine(objective, cs.matroid(), greedy.indices)
+    assert (swaps.value > greedy.value) == improves
+    metrics = MetricsRegistry()
+    _, result = select_strategies(sc, cs, refine=True, metrics=metrics)
+    best = swaps if improves else greedy
+    assert (result.indices, result.value) == (best.indices, best.value)
+    assert result.gains == greedy.gains
+    assert result.evaluations == greedy.evaluations + swaps.evaluations
+    snap = metrics.snapshot()
+    assert snap.counters["greedy.iterations"] == len(greedy.gains)
+    assert snap.counters["greedy.evaluations"] == greedy.evaluations + swaps.evaluations
+    assert snap.histograms["greedy.marginal_gain"]["count"] == len(greedy.gains)
 
 
 def test_hardened_solver_margins():

@@ -1,28 +1,8 @@
-"""Tests for matroid classes (Definitions 4.6/4.7)."""
+"""Tests for the partition matroid (Definitions 4.6/4.7)."""
 
 import pytest
 
-from repro.opt import PartitionMatroid, UniformMatroid
-
-
-def test_uniform_matroid_independence():
-    m = UniformMatroid(5, 2)
-    assert m.is_independent([])
-    assert m.is_independent([0, 4])
-    assert not m.is_independent([0, 1, 2])
-    assert not m.is_independent([7])  # out of range
-
-
-def test_uniform_matroid_can_extend():
-    m = UniformMatroid(5, 2)
-    assert m.can_extend([0], 1)
-    assert not m.can_extend([0, 1], 2)
-    assert not m.can_extend([0], 0)  # duplicate
-
-
-def test_uniform_matroid_rank():
-    assert UniformMatroid(5, 2).rank() == 2
-    assert UniformMatroid(1, 4).rank() == 1
+from repro.opt import PartitionMatroid
 
 
 def test_partition_matroid_independence():
@@ -32,14 +12,6 @@ def test_partition_matroid_independence():
     assert not m.is_independent([0, 1])  # part 0 over capacity
     assert not m.is_independent([2, 3, 4])  # part 1 over capacity
     assert m.is_independent([])
-
-
-def test_partition_matroid_can_extend():
-    m = PartitionMatroid([0, 0, 1, 1, 1], [1, 2])
-    assert m.can_extend([0], 2)
-    assert not m.can_extend([0], 1)
-    assert m.can_extend([2], 3)
-    assert not m.can_extend([2, 3], 4)
 
 
 def test_partition_matroid_rank():

@@ -8,7 +8,6 @@ from repro.opt import (
     ChargingUtilityObjective,
     PartitionMatroid,
     ProportionalFairnessObjective,
-    UniformMatroid,
     exhaustive_best,
     greedy_matroid,
     lazy_greedy_matroid,
@@ -162,8 +161,6 @@ def test_greedy_part_order_mode():
     res = greedy_matroid(f, m, part_order=[0, 1, 2])
     assert m.is_independent(res.indices)
     assert res.value > 0.0
-    with pytest.raises(TypeError):
-        greedy_matroid(f, UniformMatroid(9, 3), part_order=[0])
 
 
 def test_lazy_greedy_matches_full_scan():
@@ -212,40 +209,3 @@ def test_empty_candidate_set():
     assert res.indices == [] and res.value == 0.0
     lazy = lazy_greedy_matroid(f, PartitionMatroid([], [1]))
     assert lazy.indices == []
-
-
-def test_stochastic_greedy_feasible_and_competitive():
-    from repro.opt import stochastic_greedy_matroid
-
-    rng = np.random.default_rng(11)
-    P, th = random_instance(rng, n=120, m=12)
-    f = ChargingUtilityObjective(P, th)
-    m = PartitionMatroid([0] * 60 + [1] * 60, [4, 4])
-    full = greedy_matroid(f, m)
-    stoch = stochastic_greedy_matroid(f, m, np.random.default_rng(0), sample_fraction=0.3)
-    assert m.is_independent(stoch.indices)
-    assert stoch.value >= 0.7 * full.value
-    assert stoch.evaluations < full.evaluations
-
-
-def test_stochastic_greedy_full_fraction_matches_greedy_value():
-    from repro.opt import stochastic_greedy_matroid
-
-    rng = np.random.default_rng(12)
-    P, th = random_instance(rng, n=30, m=8)
-    f = ChargingUtilityObjective(P, th)
-    m = PartitionMatroid([0] * 15 + [1] * 15, [3, 3])
-    full = greedy_matroid(f, m)
-    stoch = stochastic_greedy_matroid(f, m, np.random.default_rng(0), sample_fraction=1.0)
-    assert np.isclose(stoch.value, full.value, atol=1e-12)
-
-
-def test_stochastic_greedy_validation():
-    from repro.opt import stochastic_greedy_matroid
-
-    f = ChargingUtilityObjective(np.zeros((3, 2)), np.ones(2))
-    m = PartitionMatroid([0, 0, 0], [2])
-    with pytest.raises(ValueError):
-        stochastic_greedy_matroid(f, m, np.random.default_rng(0), sample_fraction=0.0)
-    res = stochastic_greedy_matroid(f, m, np.random.default_rng(0))
-    assert res.indices == []  # all-zero gains terminate cleanly
