@@ -61,14 +61,17 @@ python -m pytest -x -q
 # bit, the two kernel sets each other (the masked line-of-sight path
 # included), the boundary families the scalar coverability conditions,
 # the pair-sparse coverability and power kernels their dense forms,
-# positions and candidate sets their recorded digests, and the batched
-# position pass the per-task one on the scene corpus, and every hostile
+# positions and candidate sets their recorded digests (the position corpora
+# included), the batched position pass the per-task one on the scene corpus,
+# the batched hole rays and arcs their scalar sources and the near-slot
+# margin the kernels' drift, and every hostile
 # solve request must end as a 400, a 429 or a queued job: re-run these
 # modules under the Hypothesis "ci" profile (more examples; see
 # tests/conftest.py).  Tier-1 above keeps the default example counts.
 HYPOTHESIS_PROFILE=ci python -m pytest tests/geometry/test_intersection_kernels.py \
     tests/backend/test_equivalence.py tests/model/test_boundary_families.py \
     tests/model/test_sparse_kernels.py tests/core/test_extraction_digest.py tests/core/test_position_batches.py \
+    tests/core/test_position_corpus_digest.py tests/core/test_position_feeders.py \
     tests/serve/test_submit_fuzz.py -x -q
 
 # These examples call the solver, extraction and candidate-set API

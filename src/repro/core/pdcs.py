@@ -88,14 +88,19 @@ def sweep_orientations(
     for lo in range(0, len(live), step):
         sub, m_sub = live[lo : lo + step], m[lo : lo + step]
         width = int(m_sub.max())
-        # Coverable device indices of each row, ascending, then padding.
-        cols = np.argsort(~mask[sub], axis=1, kind="stable")[:, :width]
+        # Coverable device indices of each row, ascending, then column 0 as
+        # padding (never covered: sweep_coverage masks slots >= m).
+        row, col = np.nonzero(mask[sub])
+        cols = np.zeros((len(sub), width), dtype=np.intp)
+        cols[row, np.arange(len(col)) - np.repeat(np.cumsum(m_sub) - m_sub, m_sub)] = col
         th, cov = active_backend().sweep_coverage(
             np.take_along_axis(bearings[sub], cols, axis=1), m_sub, ctype.half_angle, ANG_TOL
         )
         r, t = np.nonzero(_nondominated(cov) & (np.arange(width) < m_sub[:, None]))
+        # Scatter only the covered slots, so padding never aliases a column.
+        k, slot = np.nonzero(cov[r, t])
         full = np.zeros((len(r), mask.shape[1]), dtype=bool)
-        full[np.arange(len(r))[:, None], cols[r]] = cov[r, t]
+        full[k, cols[r[k], slot]] = True
         rows.append(sub[r])
         thetas.append(th[r, t])
         covered.append(full)

@@ -49,7 +49,8 @@ has the full story):
 
 * **Full tier** — key :func:`repro.io.canonical_scenario_hash` over the
   scenario plus the result-affecting params (``workers`` is excluded —
-  worker count changes wall-clock, never the placement).  A hit is served
+  worker count changes wall-clock, never the placement — and so is
+  ``algorithm3_order`` under ``lazy``, which ignores it).  A hit is served
   synchronously as an already-``done`` job (``cache_tier: "full"``) whose
   trace holds a ``cache.lookup`` span and **no** ``solve`` span, and whose
   result bytes are identical to the original solve's.
@@ -114,6 +115,17 @@ _PARAM_SPECS = {
 
 #: Params that change the solve result and therefore the cache key.
 _KEY_PARAMS = ("eps", "lazy", "refine", "algorithm3_order", "objective_power")
+
+
+def _result_params(params: dict[str, Any]) -> dict[str, Any]:
+    """The params of *params* that shape the result, as the full-tier key
+    and the result body carry them: those of :data:`_KEY_PARAMS`, less
+    ``algorithm3_order`` under ``lazy`` (the lazy greedy has one order and
+    ignores it), so such requests share one cache entry."""
+    out = {k: params[k] for k in _KEY_PARAMS if k in params}
+    if out.get("lazy"):
+        out.pop("algorithm3_order", None)
+    return out
 
 
 class BadRequest(ValueError):
@@ -246,9 +258,7 @@ class SolveService:
                 )
 
         try:
-            key = canonical_scenario_hash(
-                scenario_data, {k: params[k] for k in _KEY_PARAMS if k in params}
-            )
+            key = canonical_scenario_hash(scenario_data, _result_params(params))
         except ValueError as exc:  # a non-finite number or a non-string key
             raise BadRequest(str(exc), code="invalid-scenario") from exc
         if use_cache:
@@ -363,7 +373,7 @@ class SolveService:
             "num_devices": scenario.num_devices,
             "num_chargers": scenario.num_chargers,
             **fields,
-            "params": {k: params[k] for k in sorted(params) if k != "workers"},
+            "params": dict(sorted(_result_params(params).items())),
         }
 
     def _run_job(self, job: Job, tracer: Tracer) -> dict[str, Any]:

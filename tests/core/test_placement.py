@@ -223,3 +223,18 @@ def test_hardened_solver_validation():
     sc = simple_scenario([(10.0, 10.0)])
     with pytest.raises(ValueError):
         solve_hipo_hardened(sc, angle_margin=-0.1)
+
+
+def test_lazy_evaluations_saved_counts_against_the_full_scan():
+    """``greedy.lazy_evaluations_saved`` is the full scan's real gain
+    evaluations (the unchosen candidates of the open parts, each round)
+    less CELF's: on the ``cold-40`` digest scene 2,789 against 333."""
+    from test_extraction_digest import SCENES
+
+    scenario = SCENES["cold-40"]()
+    cs = build_candidate_set(scenario)
+    _, full = select_strategies(scenario, cs)
+    metrics = MetricsRegistry()
+    _, lazy = select_strategies(scenario, cs, lazy=True, metrics=metrics)
+    assert (full.evaluations, lazy.evaluations) == (2789, 333)
+    assert metrics.counter("greedy.lazy_evaluations_saved") == 2456

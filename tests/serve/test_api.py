@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import solve_hipo
 from repro.experiments import small_scenario
-from repro.io import scenario_from_dict, scenario_to_dict
+from repro.io import canonical_scenario_hash, scenario_from_dict, scenario_to_dict
 from repro.serve import SolveService, create_server
 
 FINAL = ("done", "failed", "timeout", "cancelled")
@@ -298,3 +298,40 @@ def test_workers_above_cpu_count_is_400(scenario_data):
         assert service.queue.depth == 0 and service.queue.counts() == {}
     finally:
         stop(server, service)
+
+
+def _finished(job, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while job.state not in FINAL:
+        assert time.monotonic() < deadline, f"job stuck in {job.state!r}"
+        time.sleep(0.02)
+    return job
+
+
+def test_lazy_requests_share_a_cache_entry_whatever_their_order(scenario_data):
+    """The lazy greedy ignores ``algorithm3_order``, so two lazy requests
+    that differ only in it share one full-tier entry; non-lazy requests
+    keep one entry per order, under the key they always had."""
+    service = SolveService(pool_size=1, queue_size=8).start()
+    try:
+        lazy = {"lazy": True, "algorithm3_order": False}
+        first, cached = service.submit({"scenario": scenario_data, "params": lazy})
+        assert not cached and _finished(first).state == "done"
+        second, cached = service.submit(
+            {"scenario": scenario_data, "params": {**lazy, "algorithm3_order": True}}
+        )
+        assert cached and second.cache_tier == "full"
+        assert second.cache_key == first.cache_key
+        assert second.result == first.result
+        assert first.cache_key == canonical_scenario_hash(scenario_data, {"lazy": True})
+
+        ordered, _ = service.submit(
+            {"scenario": scenario_data, "params": {"algorithm3_order": True}}
+        )
+        assert ordered.cache_tier == "candidates"  # a new full-tier entry
+        assert ordered.cache_key == canonical_scenario_hash(
+            scenario_data, {"algorithm3_order": True}
+        )
+        assert _finished(ordered).result["params"] == {"algorithm3_order": True}
+    finally:
+        service.shutdown()
